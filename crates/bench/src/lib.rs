@@ -1,5 +1,5 @@
-//! Shared harness for the figure-regeneration binaries and Criterion
-//! benchmarks.
+//! Shared harness for the figure-regeneration binaries and the
+//! `run_all --bench` wall-clock suite ([`perf`]).
 //!
 //! Every figure of the paper's Section V has a binary in `src/bin/`
 //! (`fig03` … `fig14`), plus ablations (`ablate_*`), future-work
@@ -62,10 +62,6 @@ pub struct Scale {
     /// `CARBON_EDGE_EDGE_THREADS`, then 1). Bit-identical at any
     /// count.
     pub edge_threads: Option<usize>,
-    /// Batch window for the edge workers' epoch-gate handshake
-    /// (`--gate-batch`; `None` defers to `CARBON_EDGE_GATE_BATCH`,
-    /// then the simulator's default). Bit-identical at any window.
-    pub gate_batch: Option<usize>,
     /// JSONL telemetry sink (`--telemetry <file>`), shared by every
     /// [`Scale::evaluate_grid`] call of the binary.
     pub telemetry: Option<PathBuf>,
@@ -111,11 +107,6 @@ impl Scale {
             assert!(n >= 1, "--edge-threads must be at least 1");
             n
         });
-        scale.gate_batch = value_of("--gate-batch").map(|v| {
-            let n: usize = v.parse().expect("--gate-batch takes a positive integer");
-            assert!(n >= 1, "--gate-batch must be at least 1");
-            n
-        });
         scale.telemetry = value_of("--telemetry").map(PathBuf::from);
         scale.profile = value_of("--profile").map(PathBuf::from).or_else(|| {
             scale
@@ -140,7 +131,6 @@ impl Scale {
                 out_dir,
                 threads: None,
                 edge_threads: None,
-                gate_batch: None,
                 telemetry: None,
                 profile: None,
                 telemetry_started: Cell::new(false),
@@ -157,7 +147,6 @@ impl Scale {
                 out_dir,
                 threads: None,
                 edge_threads: None,
-                gate_batch: None,
                 telemetry: None,
                 profile: None,
                 telemetry_started: Cell::new(false),
@@ -172,7 +161,6 @@ impl Scale {
         EvalOptions {
             threads: self.threads,
             edge_threads: self.edge_threads,
-            gate_batch: self.gate_batch,
             telemetry: self.telemetry.is_some(),
             profile: self.profile.is_some(),
             ..EvalOptions::default()

@@ -2,7 +2,7 @@
 //! measurements of the three hot paths, written as machine-readable
 //! `BENCH_*.json` files.
 //!
-//! Four paths are timed, each with the [`cne_util::span`] profiler:
+//! Five paths are timed, each with the [`cne_util::span`] profiler:
 //!
 //! * **slot serving** in `edgesim::env` — a fixed-placement policy run
 //!   under both [`ServeMode`]s over the Fig. 14 runtime-vs-edges grid,
@@ -14,6 +14,8 @@
 //!   versus warm-started;
 //! * **primal–dual steps** in `cne-trading` — Algorithm 2's
 //!   decide/observe pair over a synthetic price series;
+//! * **offline trading solves** in `cne-trading` — the parametric
+//!   greedy optimum and its dense-simplex cross-check;
 //! * **streaming serve** in `cne-core::serve` — `Ours` driven
 //!   slot-by-slot through a [`ServeSession`], plus the checkpoint
 //!   encode cost and a hard-floored mid-run resume equivalence check.
@@ -36,6 +38,8 @@
 //! for trend analysis but never fail the gate. Wall-clock medians over
 //! several repetitions damp scheduler noise.
 
+use std::hint::black_box;
+
 use cne_bandit::omd::tsallis_weights_into;
 use cne_core::combos::Combo;
 use cne_core::{Checkpoint, ServeOptions, ServeSession};
@@ -45,6 +49,9 @@ use cne_market::TradeBounds;
 use cne_nn::ModelZoo;
 use cne_simdata::dataset::TaskKind;
 use cne_simdata::workload::DiurnalWorkload;
+use cne_trading::offline::{
+    offline_optimal_trades, offline_optimal_trades_lp, OfflineError, OfflinePlan,
+};
 use cne_trading::policy::{TradeContext, TradeObservation, TradingPolicy};
 use cne_trading::{PrimalDual, PrimalDualConfig};
 use cne_util::json::Json;
@@ -52,6 +59,7 @@ use cne_util::span::Profiler;
 use cne_util::telemetry::Recorder;
 use cne_util::units::{Allowances, PricePerAllowance};
 use cne_util::SeedSequence;
+use rand::Rng;
 
 use crate::Scale;
 
@@ -511,6 +519,51 @@ fn bench_primal_dual(horizon: usize, reps: usize, entries: &mut Vec<BenchEntry>)
     });
 }
 
+/// Times the offline trading optimum — the parametric greedy
+/// ([`offline_optimal_trades`]) at growing horizons and the dense
+/// simplex it is cross-checked against ([`offline_optimal_trades_lp`])
+/// at the horizons it can still solve — over a seeded price series.
+/// Recorded for trend analysis, never gated.
+fn bench_offline(reps: usize, entries: &mut Vec<BenchEntry>) {
+    type Solver = fn(&[f64], &[f64], f64, f64, f64) -> Result<OfflinePlan, OfflineError>;
+    let solvers: [(&str, Solver, &[usize], usize); 2] = [
+        ("greedy", offline_optimal_trades, &[160, 640, 2560], 200),
+        ("simplex", offline_optimal_trades_lp, &[20, 40], 10),
+    ];
+    for (name, solve, horizons, solves) in solvers {
+        for &t in horizons {
+            let mut rng = SeedSequence::new(5).rng();
+            let buy: Vec<f64> = (0..t).map(|_| rng.gen_range(5.9..10.9)).collect();
+            let sell: Vec<f64> = buy.iter().map(|&c| 0.9 * c).collect();
+            let mut solve_us = Vec::with_capacity(reps);
+            for _ in 0..reps {
+                let mut p = Profiler::new();
+                p.enter("solve");
+                for _ in 0..solves {
+                    let plan = solve(
+                        black_box(&buy),
+                        black_box(&sell),
+                        t as f64 * 2.0,
+                        40.0,
+                        20.0,
+                    );
+                    black_box(plan.expect("feasible"));
+                }
+                p.exit();
+                solve_us.push(p.total_us("solve") / solves as f64);
+            }
+            entries.push(BenchEntry {
+                name: format!("offline/{name}/T={t}"),
+                metric: "us_per_solve".to_owned(),
+                value: median(solve_us),
+                better: "lower",
+                gate: false,
+                min: None,
+            });
+        }
+    }
+}
+
 /// The streaming serve daemon's hot path: `Ours` driven slot-by-slot
 /// through a [`ServeSession`] over exactly the arrivals a batch run of
 /// the same seed would draw.
@@ -962,7 +1015,6 @@ fn bench_edge_parallel(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut
     const TRACED_SIZES: usize = 2;
     const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let gate_batch = cne_core::runner::resolve_gate_batch(scale.gate_batch);
 
     for (size_idx, &edges) in EDGE_GRID.iter().enumerate() {
         let config = scale.config(TaskKind::MnistLike, edges);
@@ -977,8 +1029,7 @@ fn bench_edge_parallel(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut
             let traced = |edge_threads: usize| {
                 let mut policy = Combo::ours().build(&env, &seed.derive("alg"));
                 let mut rec = Recorder::new();
-                let record =
-                    env.run_with_batch(&mut policy, Some(&mut rec), None, edge_threads, gate_batch);
+                let record = env.run_with(&mut policy, Some(&mut rec), None, edge_threads);
                 (record, rec.to_jsonl_string())
             };
             let (base_record, base_trace) = traced(THREAD_COUNTS[0]);
@@ -1003,7 +1054,7 @@ fn bench_edge_parallel(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut
                 let mut policy = Combo::ours().build(&env, &seed.derive("alg"));
                 let mut stopwatch = Profiler::new();
                 stopwatch.enter("run");
-                let _ = env.run_with_batch(&mut policy, None, None, edge_threads, gate_batch);
+                let _ = env.run_with(&mut policy, None, None, edge_threads);
                 stopwatch.exit();
                 us_per_slot.push(stopwatch.total_us("run") / env.horizon() as f64);
             }
@@ -1062,6 +1113,7 @@ pub fn run_bench(scale: &Scale) {
         reps,
         &mut slot_entries,
     );
+    bench_offline(reps, &mut slot_entries);
     let slot_report = BenchReport {
         mode: mode.to_owned(),
         entries: slot_entries,

@@ -1,7 +1,6 @@
 //! Minimal flag parsing (no third-party dependency).
 
 use cne_core::wal::SyncPolicy;
-use cne_core::wire::WireDecode;
 use cne_simdata::dataset::TaskKind;
 
 /// Default cap on one wire line (64 KiB) — far above any legitimate
@@ -36,11 +35,6 @@ pub struct Options {
     /// defers to `CARBON_EDGE_EDGE_THREADS`, then to 1). Results are
     /// bit-identical at every count.
     pub edge_threads: Option<usize>,
-    /// Batch window for the edge workers' epoch-gate handshake (`None`
-    /// defers to `CARBON_EDGE_GATE_BATCH`, then to the simulator's
-    /// default). A pure scheduling knob — results are bit-identical at
-    /// every window size.
-    pub gate_batch: Option<usize>,
     /// Optional JSONL path for per-run telemetry traces.
     pub telemetry: Option<String>,
     /// Optional JSONL path for the wall-clock span-profile stream
@@ -54,10 +48,6 @@ pub struct Options {
     pub svg_dir: Option<String>,
     /// `bench-check`: relative tolerance for gated wall-clock entries.
     pub tolerance: f64,
-    /// `run`: serve request streams through the legacy per-request
-    /// path instead of batched sufficient statistics (bit-identical;
-    /// for equivalence debugging).
-    pub serve_per_request: bool,
     /// `run`/`compare`: path to a fault-scenario JSON file (see
     /// `cne_faults::FaultScenario`); `None` keeps the paper's
     /// fault-free setting.
@@ -80,9 +70,6 @@ pub struct Options {
     pub wal_sync: SyncPolicy,
     /// `serve`: reject wire lines longer than this many bytes.
     pub max_line_bytes: usize,
-    /// `serve`: wire decoder pipeline (`fast` | `strict`). `strict`
-    /// disables the zero-alloc fast path, for decoder cross-checks.
-    pub wire_decode: WireDecode,
     /// `serve`: exit with an error after this many rejected wire
     /// lines (malformed lines are counted and skipped, not fatal).
     pub max_bad_lines: u64,
@@ -133,13 +120,11 @@ impl Default for Options {
             out: None,
             threads: None,
             edge_threads: None,
-            gate_batch: None,
             telemetry: None,
             profile: None,
             strict: false,
             svg_dir: None,
             tolerance: 0.25,
-            serve_per_request: false,
             faults: None,
             seed: 1,
             checkpoint: None,
@@ -148,7 +133,6 @@ impl Default for Options {
             wal: None,
             wal_sync: SyncPolicy::Slot,
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
-            wire_decode: WireDecode::default(),
             max_bad_lines: DEFAULT_MAX_BAD_LINES,
             halt_at_slot: None,
             slot_requests: None,
@@ -226,15 +210,6 @@ impl Options {
                     }
                     opts.edge_threads = Some(n);
                 }
-                "--gate-batch" => {
-                    let n: usize = value("--gate-batch")?
-                        .parse()
-                        .map_err(|_| "gate-batch must be a positive integer".to_owned())?;
-                    if n == 0 {
-                        return Err("gate-batch must be at least 1".to_owned());
-                    }
-                    opts.gate_batch = Some(n);
-                }
                 "--telemetry" => opts.telemetry = Some(value("--telemetry")?),
                 "--profile" => opts.profile = Some(value("--profile")?),
                 "--svg-dir" => opts.svg_dir = Some(value("--svg-dir")?),
@@ -247,7 +222,6 @@ impl Options {
                     }
                     opts.tolerance = t;
                 }
-                "--serve-per-request" => opts.serve_per_request = true,
                 "--faults" => opts.faults = Some(value("--faults")?),
                 "--seed" => {
                     opts.seed = value("--seed")?
@@ -278,7 +252,6 @@ impl Options {
                     }
                     opts.max_line_bytes = n;
                 }
-                "--wire-decode" => opts.wire_decode = value("--wire-decode")?.parse()?,
                 "--max-bad-lines" => {
                     opts.max_bad_lines = value("--max-bad-lines")?
                         .parse()
@@ -445,18 +418,19 @@ mod tests {
     }
 
     #[test]
-    fn gate_batch_flag() {
-        let o = parse(&["--gate-batch", "16"]).expect("valid");
-        assert_eq!(o.gate_batch, Some(16));
-        assert!(parse(&[]).expect("defaults").gate_batch.is_none());
-        assert!(parse(&["--gate-batch", "0"]).is_err());
-        assert!(parse(&["--gate-batch", "window"]).is_err());
-        assert!(parse(&["--gate-batch"]).is_err());
-    }
-
-    #[test]
     fn rejects_unknown_flag() {
         assert!(parse(&["--nope"]).is_err());
+        // Reference-path and tuning switches are not flags.
+        for args in [
+            &["--serve-per-request"][..],
+            &["--wire-decode", "strict"],
+            &["--gate-batch", "16"],
+        ] {
+            assert_eq!(
+                parse(args).unwrap_err(),
+                format!("unknown flag '{}'", args[0])
+            );
+        }
     }
 
     #[test]
@@ -558,11 +532,6 @@ mod tests {
         assert_eq!(d.wal_sync, SyncPolicy::Slot);
         assert_eq!(d.max_line_bytes, DEFAULT_MAX_LINE_BYTES);
         assert_eq!(d.max_bad_lines, DEFAULT_MAX_BAD_LINES);
-        assert_eq!(d.wire_decode, WireDecode::Fast, "fast path is the default");
-
-        let o = parse(&["--wire-decode", "strict"]).expect("valid");
-        assert_eq!(o.wire_decode, WireDecode::Strict);
-        assert!(parse(&["--wire-decode", "loose"]).is_err());
 
         assert!(parse(&["--wal-sync", "sometimes"]).is_err());
         assert!(
@@ -633,13 +602,11 @@ mod tests {
     }
 
     #[test]
-    fn tolerance_and_serve_mode_flags() {
-        let o = parse(&["--tolerance", "0.1", "--serve-per-request"]).expect("valid");
+    fn tolerance_flag() {
+        let o = parse(&["--tolerance", "0.1"]).expect("valid");
         assert!((o.tolerance - 0.1).abs() < 1e-12);
-        assert!(o.serve_per_request);
         let d = parse(&[]).expect("defaults");
         assert!((d.tolerance - 0.25).abs() < 1e-12);
-        assert!(!d.serve_per_request);
         assert!(parse(&["--tolerance", "-0.5"]).is_err());
         assert!(parse(&["--tolerance", "NaN"]).is_err());
         assert!(parse(&["--tolerance", "much"]).is_err());

@@ -4,7 +4,7 @@ use std::io::Write as _;
 
 use cne_core::combos::Combo;
 use cne_core::runner::{evaluate_many_with, EvalOptions, EvalReport, PolicySpec};
-use cne_edgesim::{ServeMode, SimConfig};
+use cne_edgesim::SimConfig;
 use cne_faults::FaultScenario;
 use cne_nn::{ModelZoo, ZooConfig};
 use cne_util::span::{profile_sidecar_path, Profiler};
@@ -52,10 +52,6 @@ FLAGS:
                         records and traces are bit-identical at any
                         count, and threads x edge-threads is capped at
                         the available cores with a warning
-  --gate-batch K        slots each edge worker runs per epoch-gate
-                        handshake (default: the CARBON_EDGE_GATE_BATCH
-                        env var, else 8); a pure scheduling knob —
-                        results are bit-identical at any window size
   --telemetry F.jsonl   write per-run JSONL traces (switches, trades,
                         violations, regret, envelope monitors); also
                         writes wall-clock span profiles to
@@ -63,9 +59,6 @@ FLAGS:
   --profile F.jsonl     write the span-profile stream to this path
                         instead (timings are non-deterministic, so
                         they never share a file with the trace)
-  --serve-per-request   run/compare: serve streams through the legacy
-                        per-request path (bit-identical to the default
-                        batched statistics; for equivalence debugging)
   --faults FILE.json    run/compare: inject a deterministic fault
                         scenario (edge outages, workload surges, model
                         download failures, lost feedback, market halts
@@ -100,10 +93,6 @@ FLAGS:
   --max-line-bytes N    serve: reject wire lines longer than N bytes
                         (default 65536; hostile input is discarded
                         without buffering it)
-  --wire-decode MODE    serve: wire decoder pipeline — fast (zero-alloc
-                        recognizer with strict fallback; default) or
-                        strict (reference JSON path only; for decoder
-                        cross-checks — both produce identical traces)
   --max-bad-lines N     serve: exit with an error after N rejected
                         wire lines (default 100; each is counted,
                         logged, and skipped — not fatal on its own)
@@ -127,7 +116,7 @@ FLAGS:
 EXAMPLES:
   carbon-edge run --policy ours --edges 10 --seeds 5
   carbon-edge compare --quick --threads 4
-  carbon-edge run --quick --edges 50 --seeds 1 --edge-threads 4 --gate-batch 16
+  carbon-edge run --quick --edges 50 --seeds 1 --edge-threads 4
   carbon-edge run --quick --telemetry trace.jsonl
   carbon-edge run --quick --faults scenarios/ci_smoke.json --telemetry trace.jsonl
   carbon-edge gen-arrivals --edges 4 --slots 40 | carbon-edge serve \\
@@ -206,15 +195,10 @@ fn eval_options(opts: &Options) -> EvalOptions {
     EvalOptions {
         threads: opts.threads,
         edge_threads: opts.edge_threads,
-        gate_batch: opts.gate_batch,
         telemetry: opts.telemetry.is_some(),
         profile: opts.profile.is_some() || opts.telemetry.is_some(),
         progress: true,
-        serve_mode: if opts.serve_per_request {
-            ServeMode::PerRequest
-        } else {
-            ServeMode::Batched
-        },
+        ..EvalOptions::default()
     }
 }
 

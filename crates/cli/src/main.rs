@@ -9,7 +9,6 @@
 //!                     [--checkpoint F --checkpoint-every N] [--resume F]
 //!                     [--wal DIR --wal-sync every|slot|off]
 //!                     [--max-line-bytes N] [--max-bad-lines N]
-//!                     [--wire-decode fast|strict]
 //! carbon-edge watch   --admin unix:PATH|tcp:ADDR [--interval-ms N]
 //!                     [--iterations N]   (or: carbon-edge watch OPS.jsonl)
 //! carbon-edge gen-arrivals --process diurnal --edges 10 --slots 40 --seed 1

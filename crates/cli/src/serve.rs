@@ -30,9 +30,8 @@ use std::time::{Duration, Instant};
 
 use cne_core::combos::Combo;
 use cne_core::wal::{self, Wal, WalOptions, WalRecord};
-use cne_core::wire;
+use cne_core::wire::{self, WireMsg};
 use cne_core::{Checkpoint, ServeOptions, ServeSession};
-use cne_edgesim::ServeMode;
 use cne_faults::WallRetry;
 use cne_simdata::{ArrivalGen, ArrivalProcess};
 use cne_util::expo;
@@ -126,17 +125,6 @@ mod signals {
     }
 }
 
-/// One parsed request-stream line (see [`cne_core::wire`]). The serve
-/// loop composes the zero-alloc fast path with this strict reference
-/// path per `--wire-decode`.
-type WireLine = wire::WireMsg;
-
-/// Parses one line of the wire protocol through the strict reference
-/// decoder — full JSON parse, canonical error strings.
-fn parse_line(line: &str, num_edges: usize) -> Result<WireLine, String> {
-    wire::decode_strict(line, num_edges)
-}
-
 /// Transport read buffer, and therefore the upper bound on one
 /// [`LineBlock`]. Large enough to amortize syscalls and channel sends
 /// over thousands of wire lines, small enough that the group-commit
@@ -173,14 +161,7 @@ enum ReaderMsg {
     /// A line the reader rejected without shipping — oversized; the
     /// rest of it was discarded up to the next newline. Counts against
     /// the `--max-bad-lines` budget.
-    Bad {
-        /// Human-readable cause, for the structured stderr event.
-        reason: String,
-        /// Stream byte offset where the rejected line began.
-        offset: u64,
-        /// Up to [`SNIPPET_MAX`] bytes of the line, lossily decoded.
-        snippet: String,
-    },
+    Bad(BadLine),
     /// The transport died and stayed dead through the retry budget.
     Fatal(String),
 }
@@ -198,14 +179,11 @@ struct Oversize {
 
 impl Oversize {
     fn into_msg(self, max_line: usize) -> ReaderMsg {
-        ReaderMsg::Bad {
-            reason: format!(
-                "line exceeds --max-line-bytes {max_line} ({} bytes discarded)",
-                self.total
-            ),
+        ReaderMsg::Bad(BadLine {
+            reason: oversize_reason(max_line, self.total),
             offset: self.offset,
             snippet: snippet_of(&self.snippet),
-        }
+        })
     }
 }
 
@@ -215,39 +193,57 @@ fn snippet_of(line: &[u8]) -> String {
     String::from_utf8_lossy(&line[..line.len().min(SNIPPET_MAX)]).into_owned()
 }
 
+/// The `bad_line` reason for a line over `--max-line-bytes`, whether
+/// the reader discarded it mid-stream or the serve loop found it
+/// whole inside a block.
+fn oversize_reason(max_line: usize, len: usize) -> String {
+    format!("line exceeds --max-line-bytes {max_line} ({len} bytes discarded)")
+}
+
+/// Classifies one raw wire line (without its newline): a decoded
+/// message, `Ok(None)` for a blank line, or the `bad_line` reason.
+///
+/// The zero-alloc fast path goes first: a hit is certain to match the
+/// strict path and is pure ASCII, so the UTF-8/trim/parse pipeline is
+/// skipped outright. Everything else gets the strict path's canonical
+/// outcome.
+fn decode_line(line: &[u8], num_edges: usize, max_line: usize) -> Result<Option<WireMsg>, String> {
+    // The reader's memory bound only catches lines that span read
+    // chunks; one that arrived whole inside a block is rejected here,
+    // with the same reason.
+    if line.len() > max_line {
+        return Err(oversize_reason(max_line, line.len()));
+    }
+    if let Some(msg) = wire::decode_fast(line, num_edges) {
+        return Ok(Some(msg));
+    }
+    let text =
+        std::str::from_utf8(line).map_err(|_| format!("non-UTF-8 line ({} bytes)", line.len()))?;
+    let trimmed = text.trim();
+    if trimmed.is_empty() {
+        return Ok(None);
+    }
+    wire::decode_strict(trimmed, num_edges).map(Some)
+}
+
+/// One structured retry event for stderr: `event` names the retried
+/// layer (`transport_retry`, `wal_retry` or `checkpoint_retry`).
+fn retry_event(event: &str, attempt: u32, delay: Duration, error: &str) -> String {
+    format!(
+        "{{\"event\":\"{event}\",\"attempt\":{attempt},\"delay_ms\":{},\"error\":{}}}",
+        delay.as_millis(),
+        Json::Str(error.to_owned()).encode()
+    )
+}
+
 /// One rejected wire line, as recorded by [`DaemonOps::record_bad_line`].
-struct BadLine<'a> {
+struct BadLine {
     /// Human-readable cause (canonical strict-path or reader text).
-    reason: &'a str,
+    reason: String,
     /// Absolute stream byte offset where the line began.
     offset: u64,
     /// Up to [`SNIPPET_MAX`] bytes of the line, lossily decoded.
-    snippet: &'a str,
-}
-
-/// Flushes the group-commit buffer: every applied-but-unlogged arrival
-/// pair of the open slot goes out as one multi-pair WAL record. The
-/// write-ahead invariant holds at batch granularity — a flush always
-/// precedes the slot close, checkpoint, shutdown sync, or fatal exit
-/// that would otherwise leave the log behind the applied state — so
-/// recovery still replays a clean prefix of the stream, and a hard
-/// kill can lose at most the current block's tail.
-fn flush_arrivals(
-    pending: &mut Vec<(u64, u64)>,
-    slot: u64,
-    dur: &mut Durability,
-    ops: &mut DaemonOps,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    dur.append(
-        &WalRecord::Arrivals {
-            slot,
-            pairs: std::mem::take(pending),
-        },
-        ops,
-    );
+    snippet: String,
 }
 
 /// Drains one transport connection into the channel as line blocks.
@@ -277,12 +273,7 @@ fn pump<R: std::io::Read>(source: R, tx: &mpsc::Sender<ReaderMsg>, max_line: usi
                 Err(e) => Err(format!("transport read failed: {e}")),
             },
             |attempt, err, delay| {
-                eprintln!(
-                    "{{\"event\":\"transport_retry\",\"attempt\":{attempt},\
-                     \"delay_ms\":{},\"error\":{}}}",
-                    delay.as_millis(),
-                    Json::Str(err.to_owned()).encode()
-                );
+                eprintln!("{}", retry_event("transport_retry", attempt, delay, err))
             },
         );
         let n = match probe {
@@ -386,14 +377,7 @@ fn accept_with_retry<L, S>(
     let retry = WallRetry::daemon_default();
     match retry.run(
         || accept(listener).map_err(|e| format!("accept failed: {e}")),
-        |attempt, err, delay| {
-            eprintln!(
-                "{{\"event\":\"transport_retry\",\"attempt\":{attempt},\
-                 \"delay_ms\":{},\"error\":{}}}",
-                delay.as_millis(),
-                Json::Str(err.to_owned()).encode()
-            );
-        },
+        |attempt, err, delay| eprintln!("{}", retry_event("transport_retry", attempt, delay, err)),
     ) {
         Ok(stream) => Some(stream),
         Err(e) => {
@@ -502,12 +486,7 @@ impl Durability {
             || wal.append(record),
             |attempt, err, delay| {
                 ops.record_wal_retry();
-                eprintln!(
-                    "{{\"event\":\"wal_retry\",\"attempt\":{attempt},\"delay_ms\":{},\
-                     \"error\":{}}}",
-                    delay.as_millis(),
-                    Json::Str(err.to_owned()).encode()
-                );
+                eprintln!("{}", retry_event("wal_retry", attempt, delay, err));
             },
         );
         if let Err(e) = result {
@@ -531,12 +510,7 @@ impl Durability {
             || ckpt.save(Path::new(path)),
             |attempt, err, delay| {
                 ops.record_checkpoint_retry();
-                eprintln!(
-                    "{{\"event\":\"checkpoint_retry\",\"attempt\":{attempt},\
-                     \"delay_ms\":{},\"error\":{}}}",
-                    delay.as_millis(),
-                    Json::Str(err.to_owned()).encode()
-                );
+                eprintln!("{}", retry_event("checkpoint_retry", attempt, delay, err));
             },
         )?;
         println!(
@@ -565,12 +539,7 @@ impl Durability {
             || wal.install_checkpoint(slot),
             |attempt, err, delay| {
                 ops.record_wal_retry();
-                eprintln!(
-                    "{{\"event\":\"wal_retry\",\"attempt\":{attempt},\"delay_ms\":{},\
-                     \"error\":{}}}",
-                    delay.as_millis(),
-                    Json::Str(err.to_owned()).encode()
-                );
+                eprintln!("{}", retry_event("wal_retry", attempt, delay, err));
             },
         );
         match result {
@@ -588,10 +557,8 @@ impl Durability {
     fn shutdown_sync(&mut self) {
         if let Some(wal) = self.wal.as_mut() {
             if let Err(e) = wal.sync() {
-                eprintln!(
-                    "{{\"event\":\"wal_retry\",\"attempt\":0,\"delay_ms\":0,\"error\":{}}}",
-                    Json::Str(format!("final sync failed: {e}")).encode()
-                );
+                let error = format!("final sync failed: {e}");
+                eprintln!("{}", retry_event("wal_retry", 0, Duration::ZERO, &error));
             }
         }
     }
@@ -748,23 +715,23 @@ impl DaemonOps {
     /// located in a multi-GB stream. The same fields land in the ops
     /// recorder as a `bad_line` event (surfaced by `report`). The
     /// budget check stays with the caller.
-    fn record_bad_line(&mut self, bad: &BadLine<'_>, slot: u64, total: u64, budget: u64) {
+    fn record_bad_line(&mut self, bad: &BadLine, slot: u64, total: u64, budget: u64) {
         self.rec.incr("serve.bad_lines", 1);
         self.rec.event(
             Some(slot),
             "bad_line",
             &[
-                ("reason", Value::Str(bad.reason.to_owned())),
+                ("reason", Value::Str(bad.reason.clone())),
                 ("offset", Value::UInt(bad.offset)),
-                ("snippet", Value::Str(bad.snippet.to_owned())),
+                ("snippet", Value::Str(bad.snippet.clone())),
             ],
         );
         eprintln!(
             "{{\"event\":\"bad_line\",\"total\":{total},\"budget\":{budget},\"offset\":{},\
              \"snippet\":{},\"reason\":{}}}",
             bad.offset,
-            Json::Str(bad.snippet.to_owned()).encode(),
-            Json::Str(bad.reason.to_owned()).encode()
+            Json::Str(bad.snippet.clone()).encode(),
+            Json::Str(bad.reason.clone()).encode()
         );
     }
 
@@ -858,17 +825,7 @@ fn startup_banner(
         ("policy".to_owned(), Json::Str(opts.policy.clone())),
         ("seed".to_owned(), Json::UInt(run_seed)),
         ("scenario".to_owned(), opt_str(scenario)),
-        (
-            "serve_mode".to_owned(),
-            Json::Str(
-                if opts.serve_per_request {
-                    "per-request"
-                } else {
-                    "batched"
-                }
-                .to_owned(),
-            ),
-        ),
+        ("serve_mode".to_owned(), Json::Str("batched".to_owned())),
         (
             "edge_threads".to_owned(),
             Json::UInt(opts.edge_threads.unwrap_or(1) as u64),
@@ -889,10 +846,6 @@ fn startup_banner(
         ("checkpoint".to_owned(), opt_str(opts.checkpoint.as_deref())),
         ("wal".to_owned(), opt_str(opts.wal.as_deref())),
         ("wal_sync".to_owned(), Json::Str(opts.wal_sync.to_string())),
-        (
-            "wire_decode".to_owned(),
-            Json::Str(opts.wire_decode.to_string()),
-        ),
         (
             "max_line_bytes".to_owned(),
             Json::UInt(opts.max_line_bytes as u64),
@@ -926,17 +879,13 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     let zoo = build_zoo(opts);
     let scenario = config.faults.as_ref().map(|s| s.name.clone());
     let serve_opts = ServeOptions {
-        serve_mode: if opts.serve_per_request {
-            ServeMode::PerRequest
-        } else {
-            ServeMode::Batched
-        },
         edge_threads: opts.edge_threads.unwrap_or(1),
         telemetry: opts.telemetry.is_some(),
         // Both feed only the ops side channel (admin endpoint, watch,
         // ops sidecar); the deterministic trace never sees them.
         live_monitor: true,
         stage_profiler: true,
+        ..ServeOptions::default()
     };
 
     let mut run_seed = opts.seed;
@@ -1012,7 +961,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     } else {
         None
     };
-    let mut dur = Durability::new(wal_handle);
+    let dur = Durability::new(wal_handle);
 
     if let Some(k) = opts.halt_at_slot {
         if k <= session.next_slot() || k >= session.horizon() {
@@ -1037,7 +986,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         })
         .transpose()?;
     let admin_addr = admin_state.as_ref().map(|(_, bound)| bound.clone());
-    let mut ops = DaemonOps::new(&session, run_seed, admin_state.map(|(state, _)| state));
+    let ops = DaemonOps::new(&session, run_seed, admin_state.map(|(state, _)| state));
     startup_banner(
         opts,
         &session,
@@ -1057,340 +1006,29 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         session.num_edges()
     );
 
-    let num_edges = session.num_edges();
-    let mut open: Vec<u64> = vec![0; num_edges];
-    let mut requests_in_slot: usize = 0;
-    if let Some((recovered, lines)) = wal_seed_open.take() {
+    let (open, requests_in_slot) = match wal_seed_open {
         // The WAL tail ended mid-slot: pre-seed the accumulator with
         // the arrivals already acknowledged for the open slot.
-        open.copy_from_slice(&recovered);
-        requests_in_slot = lines as usize;
+        Some((recovered, lines)) => (recovered, lines as usize),
+        None => (vec![0; session.num_edges()], 0),
+    };
+    let mut daemon = SlotLoop {
+        opts,
+        session,
+        ops,
+        dur,
+        open,
+        requests_in_slot,
+        pending: Vec::new(),
+        bad_lines: 0,
+        deadline: opts
+            .slot_ms
+            .map(|ms| Instant::now() + Duration::from_millis(ms)),
+    };
+    if !daemon.run(&rx)? {
+        return Ok(());
     }
-    let mut bad_lines: u64 = 0;
-    // Group-commit buffer: arrival pairs applied to `open` but not yet
-    // WAL-appended. Flushed as one multi-pair record at every block
-    // boundary and before anything that closes, checkpoints, or ends
-    // the slot (see `flush_arrivals`).
-    let mut pending: Vec<(u64, u64)> = Vec::new();
-    let use_fast = opts.wire_decode == wire::WireDecode::Fast;
-    let mut deadline = opts
-        .slot_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut eof = false;
-
-    while !session.is_done() {
-        if signals::triggered() {
-            flush_arrivals(&mut pending, session.next_slot() as u64, &mut dur, &mut ops);
-            if let Some(path) = &opts.checkpoint {
-                dur.write_checkpoint(&session, path, &mut ops)?;
-            }
-            dur.shutdown_sync();
-            ops.finish(opts.telemetry.as_deref())?;
-            eprintln!(
-                "serve        : shutdown signal at slot {} — exiting cleanly{}",
-                session.next_slot(),
-                if opts.checkpoint.is_some() || opts.wal.is_some() {
-                    ""
-                } else {
-                    " (no --checkpoint path; state discarded)"
-                }
-            );
-            return Ok(());
-        }
-        if eof {
-            // Input ended before the horizon: pad the remaining slots
-            // with zero arrivals so the run still settles cleanly.
-            // (`pending` is empty here — every block was flushed when
-            // it finished processing, and EOF arrives between blocks.)
-            if requests_in_slot == 0 {
-                open.iter_mut().for_each(|c| *c = 0);
-            }
-            close_slot(
-                &mut session,
-                &mut open,
-                &mut requests_in_slot,
-                &mut deadline,
-                opts,
-                &mut ops,
-                &mut dur,
-            )?;
-            if let Some(k) = opts.halt_at_slot {
-                if session.next_slot() == k {
-                    return halt(&session, opts, &mut ops, &mut dur);
-                }
-            }
-            continue;
-        }
-        let wait = match deadline {
-            Some(d) => d.saturating_duration_since(Instant::now()).min(IDLE_POLL),
-            None => IDLE_POLL,
-        };
-        let msg = match rx.recv_timeout(wait) {
-            Ok(msg) => msg,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Wall-clock slot close (live mode only).
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    close_slot(
-                        &mut session,
-                        &mut open,
-                        &mut requests_in_slot,
-                        &mut deadline,
-                        opts,
-                        &mut ops,
-                        &mut dur,
-                    )?;
-                    if let Some(k) = opts.halt_at_slot {
-                        if session.next_slot() == k {
-                            return halt(&session, opts, &mut ops, &mut dur);
-                        }
-                    }
-                }
-                continue;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                let remaining = session.horizon() - session.next_slot();
-                eprintln!(
-                    "serve        : input ended at slot {} — padding {remaining} \
-                     remaining slot(s) with zero arrivals",
-                    session.next_slot()
-                );
-                eof = true;
-                continue;
-            }
-        };
-        let block = match msg {
-            ReaderMsg::Block(block) => block,
-            ReaderMsg::Bad {
-                reason,
-                offset,
-                snippet,
-            } => {
-                bad_lines += 1;
-                ops.record_bad_line(
-                    &BadLine {
-                        reason: &reason,
-                        offset,
-                        snippet: &snippet,
-                    },
-                    session.next_slot() as u64,
-                    bad_lines,
-                    opts.max_bad_lines,
-                );
-                if bad_lines > opts.max_bad_lines {
-                    flush_arrivals(&mut pending, session.next_slot() as u64, &mut dur, &mut ops);
-                    return fail_serve(
-                        &session,
-                        opts,
-                        &mut ops,
-                        &mut dur,
-                        format!(
-                            "too many bad wire lines ({bad_lines} rejected, \
-                             --max-bad-lines {})",
-                            opts.max_bad_lines
-                        ),
-                    );
-                }
-                continue;
-            }
-            ReaderMsg::Fatal(e) => {
-                return fail_serve(
-                    &session,
-                    opts,
-                    &mut ops,
-                    &mut dur,
-                    format!("transport error: {e}"),
-                );
-            }
-        };
-        ops.record_ingest_bytes(block.data.len() as u64);
-        let mut line_at = block.offset;
-        for raw in block.data.split_inclusive(|&b| b == b'\n') {
-            let at = line_at;
-            line_at += raw.len() as u64;
-            let line = match raw.last() {
-                Some(b'\n') => &raw[..raw.len() - 1],
-                _ => raw,
-            };
-            // The reader's memory bound only catches lines that span
-            // read chunks; one that arrived whole inside a block is
-            // rejected here, with the same reason and accounting.
-            if line.len() > opts.max_line_bytes {
-                let reason = format!(
-                    "line exceeds --max-line-bytes {} ({} bytes discarded)",
-                    opts.max_line_bytes,
-                    line.len()
-                );
-                bad_lines += 1;
-                ops.record_bad_line(
-                    &BadLine {
-                        reason: &reason,
-                        offset: at,
-                        snippet: &snippet_of(line),
-                    },
-                    session.next_slot() as u64,
-                    bad_lines,
-                    opts.max_bad_lines,
-                );
-                if bad_lines > opts.max_bad_lines {
-                    flush_arrivals(&mut pending, session.next_slot() as u64, &mut dur, &mut ops);
-                    return fail_serve(
-                        &session,
-                        opts,
-                        &mut ops,
-                        &mut dur,
-                        format!(
-                            "too many bad wire lines ({bad_lines} rejected, \
-                             --max-bad-lines {})",
-                            opts.max_bad_lines
-                        ),
-                    );
-                }
-                continue;
-            }
-            // Fast path first (`--wire-decode fast`): a hit is certain
-            // to match the strict path, and is pure ASCII, so the
-            // UTF-8/trim/parse pipeline below can be skipped outright.
-            let fast = if use_fast {
-                wire::decode_fast(line, num_edges)
-            } else {
-                None
-            };
-            let parsed = match fast {
-                Some(msg) => msg,
-                None => {
-                    let text = match std::str::from_utf8(line) {
-                        Ok(text) => text,
-                        Err(_) => {
-                            let reason = format!("non-UTF-8 line ({} bytes)", line.len());
-                            bad_lines += 1;
-                            ops.record_bad_line(
-                                &BadLine {
-                                    reason: &reason,
-                                    offset: at,
-                                    snippet: &snippet_of(line),
-                                },
-                                session.next_slot() as u64,
-                                bad_lines,
-                                opts.max_bad_lines,
-                            );
-                            if bad_lines > opts.max_bad_lines {
-                                flush_arrivals(
-                                    &mut pending,
-                                    session.next_slot() as u64,
-                                    &mut dur,
-                                    &mut ops,
-                                );
-                                return fail_serve(
-                                    &session,
-                                    opts,
-                                    &mut ops,
-                                    &mut dur,
-                                    format!(
-                                        "too many bad wire lines ({bad_lines} rejected, \
-                                         --max-bad-lines {})",
-                                        opts.max_bad_lines
-                                    ),
-                                );
-                            }
-                            continue;
-                        }
-                    };
-                    let trimmed = text.trim();
-                    if trimmed.is_empty() {
-                        continue;
-                    }
-                    match parse_line(trimmed, num_edges) {
-                        Ok(parsed) => parsed,
-                        Err(reason) => {
-                            bad_lines += 1;
-                            ops.record_bad_line(
-                                &BadLine {
-                                    reason: &reason,
-                                    offset: at,
-                                    snippet: &snippet_of(line),
-                                },
-                                session.next_slot() as u64,
-                                bad_lines,
-                                opts.max_bad_lines,
-                            );
-                            if bad_lines > opts.max_bad_lines {
-                                flush_arrivals(
-                                    &mut pending,
-                                    session.next_slot() as u64,
-                                    &mut dur,
-                                    &mut ops,
-                                );
-                                return fail_serve(
-                                    &session,
-                                    opts,
-                                    &mut ops,
-                                    &mut dur,
-                                    format!(
-                                        "too many bad wire lines ({bad_lines} rejected, \
-                                         --max-bad-lines {})",
-                                        opts.max_bad_lines
-                                    ),
-                                );
-                            }
-                            continue;
-                        }
-                    }
-                }
-            };
-            match parsed {
-                WireLine::Request { edge, count } => {
-                    // Write-ahead at batch granularity: the pair joins
-                    // the group-commit buffer now and is WAL-appended
-                    // (one multi-pair record) before the slot closes
-                    // or the block ends.
-                    pending.push((edge as u64, count));
-                    open[edge] += count;
-                    requests_in_slot += 1;
-                    if opts.slot_requests.is_some_and(|n| requests_in_slot >= n) {
-                        flush_arrivals(
-                            &mut pending,
-                            session.next_slot() as u64,
-                            &mut dur,
-                            &mut ops,
-                        );
-                        close_slot(
-                            &mut session,
-                            &mut open,
-                            &mut requests_in_slot,
-                            &mut deadline,
-                            opts,
-                            &mut ops,
-                            &mut dur,
-                        )?;
-                    }
-                }
-                WireLine::SlotEnd => {
-                    flush_arrivals(&mut pending, session.next_slot() as u64, &mut dur, &mut ops);
-                    close_slot(
-                        &mut session,
-                        &mut open,
-                        &mut requests_in_slot,
-                        &mut deadline,
-                        opts,
-                        &mut ops,
-                        &mut dur,
-                    )?;
-                }
-            }
-            if let Some(k) = opts.halt_at_slot {
-                if session.next_slot() == k {
-                    return halt(&session, opts, &mut ops, &mut dur);
-                }
-            }
-            if session.is_done() {
-                break;
-            }
-        }
-        // End of block: group-commit whatever the block accumulated
-        // for the still-open slot.
-        flush_arrivals(&mut pending, session.next_slot() as u64, &mut dur, &mut ops);
-    }
-    dur.shutdown_sync();
+    let SlotLoop { session, ops, .. } = daemon;
 
     let horizon = session.horizon();
     ops.finish(opts.telemetry.as_deref())?;
@@ -1416,101 +1054,300 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Ingests the open slot into the session, resets the accumulator and
-/// the wall-clock deadline, and honors `--checkpoint-every`. The slot
-/// close is WAL-appended *before* the session serves it, so recovery
-/// replays exactly the slots the live run committed to; a persistent
-/// periodic-checkpoint failure degrades durability instead of killing
-/// the daemon.
-fn close_slot(
-    session: &mut ServeSession<'_>,
-    open: &mut [u64],
-    requests_in_slot: &mut usize,
-    deadline: &mut Option<Instant>,
-    opts: &Options,
-    ops: &mut DaemonOps,
-    dur: &mut Durability,
-) -> Result<(), String> {
-    let requests: u64 = open.iter().sum();
-    dur.append(
-        &WalRecord::SlotClose {
-            slot: session.next_slot() as u64,
-        },
-        ops,
-    );
-    let started = Instant::now();
-    session.push_slot(open);
-    let slot_wall_us = started.elapsed().as_secs_f64() * 1e6;
-    open.iter_mut().for_each(|c| *c = 0);
-    *requests_in_slot = 0;
-    *deadline = opts
-        .slot_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    if let (Some(every), Some(path)) = (opts.checkpoint_every, &opts.checkpoint) {
-        if session.next_slot() % every == 0 && !session.is_done() {
-            let started = Instant::now();
-            match dur.write_checkpoint(session, path, ops) {
-                Ok(()) => {
-                    ops.record_checkpoint(started.elapsed().as_secs_f64() * 1e6);
-                    // The accumulator was just reset: a slot boundary,
-                    // so the WAL can be garbage-collected.
-                    dur.checkpoint_installed(session.next_slot() as u64, ops);
+/// The daemon's slot loop: the session plus everything that changes
+/// as wire lines arrive — the open slot's accumulator, the
+/// group-commit buffer, the bad-line tally and the wall-clock slot
+/// deadline.
+struct SlotLoop<'a> {
+    opts: &'a Options,
+    session: ServeSession<'a>,
+    ops: DaemonOps,
+    dur: Durability,
+    /// Arrivals per edge in the open slot.
+    open: Vec<u64>,
+    /// Request lines accepted into the open slot (`--slot-requests`).
+    requests_in_slot: usize,
+    /// Group-commit buffer: arrival pairs applied to `open` but not yet
+    /// WAL-appended. Flushed as one multi-pair record at every block
+    /// boundary and before anything that closes, checkpoints, or ends
+    /// the slot (see [`SlotLoop::flush_arrivals`]).
+    pending: Vec<(u64, u64)>,
+    /// Wire lines rejected so far (`--max-bad-lines`).
+    bad_lines: u64,
+    /// When the open slot closes by wall clock (`--slot-ms`).
+    deadline: Option<Instant>,
+}
+
+impl SlotLoop<'_> {
+    /// Serves slots until the horizon is complete (`Ok(true)`) or
+    /// `--halt-at-slot` or a shutdown signal stops the daemon cleanly
+    /// (`Ok(false)`). Transport death and a blown bad-line budget
+    /// return the error after [`SlotLoop::fail`].
+    fn run(&mut self, rx: &mpsc::Receiver<ReaderMsg>) -> Result<bool, String> {
+        let opts = self.opts;
+        let mut eof = false;
+        while !self.session.is_done() {
+            if signals::triggered() {
+                self.flush_arrivals();
+                if let Some(path) = &opts.checkpoint {
+                    self.dur
+                        .write_checkpoint(&self.session, path, &mut self.ops)?;
                 }
-                Err(e) => {
-                    // Availability over durability: keep serving, flip
-                    // /readyz, and let the next boundary try again.
-                    dur.degrade(ops, &format!("checkpoint write failed: {e}"));
+                self.dur.shutdown_sync();
+                self.ops.finish(opts.telemetry.as_deref())?;
+                eprintln!(
+                    "serve        : shutdown signal at slot {} — exiting cleanly{}",
+                    self.session.next_slot(),
+                    if opts.checkpoint.is_some() || opts.wal.is_some() {
+                        ""
+                    } else {
+                        " (no --checkpoint path; state discarded)"
+                    }
+                );
+                return Ok(false);
+            }
+            if eof {
+                // Input ended before the horizon: pad the remaining slots
+                // with zero arrivals so the run still settles cleanly.
+                // (`pending` is empty here — every block was flushed when
+                // it finished processing, and EOF arrives between blocks.)
+                if self.requests_in_slot == 0 {
+                    self.open.fill(0);
+                }
+                if self.close_slot()? {
+                    return Ok(false);
+                }
+                continue;
+            }
+            let wait = match self.deadline {
+                Some(d) => d.saturating_duration_since(Instant::now()).min(IDLE_POLL),
+                None => IDLE_POLL,
+            };
+            let block = match rx.recv_timeout(wait) {
+                Ok(ReaderMsg::Block(block)) => block,
+                Ok(ReaderMsg::Bad(bad)) => {
+                    self.reject(&bad)?;
+                    continue;
+                }
+                Ok(ReaderMsg::Fatal(e)) => return Err(self.fail(format!("transport error: {e}"))),
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    // Wall-clock slot close (live mode only).
+                    if self.deadline.is_some_and(|d| Instant::now() >= d) && self.close_slot()? {
+                        return Ok(false);
+                    }
+                    continue;
+                }
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    let remaining = self.session.horizon() - self.session.next_slot();
+                    eprintln!(
+                        "serve        : input ended at slot {} — padding {remaining} \
+                         remaining slot(s) with zero arrivals",
+                        self.session.next_slot()
+                    );
+                    eof = true;
+                    continue;
+                }
+            };
+            if self.ingest(&block)? {
+                return Ok(false);
+            }
+        }
+        self.dur.shutdown_sync();
+        Ok(true)
+    }
+
+    /// Applies one block of wire lines to the open slot, closing slots
+    /// on `slot_end` markers and `--slot-requests`. Returns whether
+    /// `--halt-at-slot` stopped the daemon.
+    fn ingest(&mut self, block: &LineBlock) -> Result<bool, String> {
+        self.ops.record_ingest_bytes(block.data.len() as u64);
+        let mut line_at = block.offset;
+        for raw in block.data.split_inclusive(|&b| b == b'\n') {
+            let at = line_at;
+            line_at += raw.len() as u64;
+            let line = raw.strip_suffix(b"\n").unwrap_or(raw);
+            let msg = match decode_line(line, self.open.len(), self.opts.max_line_bytes) {
+                Ok(Some(msg)) => msg,
+                Ok(None) => continue,
+                Err(reason) => {
+                    self.reject(&BadLine {
+                        reason,
+                        offset: at,
+                        snippet: snippet_of(line),
+                    })?;
+                    continue;
+                }
+            };
+            let close = match msg {
+                WireMsg::Request { edge, count } => {
+                    // Write-ahead at batch granularity: the pair joins
+                    // the group-commit buffer now and is WAL-appended
+                    // (one multi-pair record) before the slot closes
+                    // or the block ends.
+                    self.pending.push((edge as u64, count));
+                    self.open[edge] += count;
+                    self.requests_in_slot += 1;
+                    self.opts
+                        .slot_requests
+                        .is_some_and(|n| self.requests_in_slot >= n)
+                }
+                WireMsg::SlotEnd => true,
+            };
+            if close && self.close_slot()? {
+                return Ok(true);
+            }
+            if self.session.is_done() {
+                break;
+            }
+        }
+        // End of block: group-commit whatever the block accumulated
+        // for the still-open slot.
+        self.flush_arrivals();
+        Ok(false)
+    }
+
+    /// Counts one rejected wire line against `--max-bad-lines` and
+    /// logs it; a blown budget fails the daemon with the exact count.
+    fn reject(&mut self, bad: &BadLine) -> Result<(), String> {
+        self.bad_lines += 1;
+        let budget = self.opts.max_bad_lines;
+        self.ops
+            .record_bad_line(bad, self.session.next_slot() as u64, self.bad_lines, budget);
+        if self.bad_lines > budget {
+            let error = format!(
+                "too many bad wire lines ({} rejected, --max-bad-lines {budget})",
+                self.bad_lines
+            );
+            return Err(self.fail(error));
+        }
+        Ok(())
+    }
+
+    /// Flushes the group-commit buffer: every applied-but-unlogged
+    /// arrival pair of the open slot goes out as one multi-pair WAL
+    /// record. The write-ahead invariant holds at batch granularity —
+    /// a flush always precedes the slot close, checkpoint, shutdown
+    /// sync, or fatal exit that would otherwise leave the log behind
+    /// the applied state — so recovery still replays a clean prefix of
+    /// the stream, and a hard kill can lose at most the current
+    /// block's tail.
+    fn flush_arrivals(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        self.dur.append(
+            &WalRecord::Arrivals {
+                slot: self.session.next_slot() as u64,
+                pairs: std::mem::take(&mut self.pending),
+            },
+            &mut self.ops,
+        );
+    }
+
+    /// Ingests the open slot into the session, resets the accumulator
+    /// and the wall-clock deadline, honors `--checkpoint-every`, and
+    /// halts at `--halt-at-slot`; returns whether it halted. The
+    /// pending arrivals and then the slot close are WAL-appended
+    /// *before* the session serves it, so recovery replays exactly the
+    /// slots the live run committed to; a persistent periodic-
+    /// checkpoint failure degrades durability instead of killing the
+    /// daemon.
+    fn close_slot(&mut self) -> Result<bool, String> {
+        let opts = self.opts;
+        self.flush_arrivals();
+        let requests: u64 = self.open.iter().sum();
+        self.dur.append(
+            &WalRecord::SlotClose {
+                slot: self.session.next_slot() as u64,
+            },
+            &mut self.ops,
+        );
+        let started = Instant::now();
+        self.session.push_slot(&self.open);
+        let slot_wall_us = started.elapsed().as_secs_f64() * 1e6;
+        self.open.fill(0);
+        self.requests_in_slot = 0;
+        self.deadline = opts
+            .slot_ms
+            .map(|ms| Instant::now() + Duration::from_millis(ms));
+        if let (Some(every), Some(path)) = (opts.checkpoint_every, &opts.checkpoint) {
+            if self.session.next_slot() % every == 0 && !self.session.is_done() {
+                let started = Instant::now();
+                match self
+                    .dur
+                    .write_checkpoint(&self.session, path, &mut self.ops)
+                {
+                    Ok(()) => {
+                        self.ops
+                            .record_checkpoint(started.elapsed().as_secs_f64() * 1e6);
+                        // The accumulator was just reset: a slot boundary,
+                        // so the WAL can be garbage-collected.
+                        self.dur
+                            .checkpoint_installed(self.session.next_slot() as u64, &mut self.ops);
+                    }
+                    Err(e) => {
+                        // Availability over durability: keep serving, flip
+                        // /readyz, and let the next boundary try again.
+                        self.dur
+                            .degrade(&mut self.ops, &format!("checkpoint write failed: {e}"));
+                    }
                 }
             }
         }
-    }
-    ops.after_slot(session, requests, slot_wall_us);
-    Ok(())
-}
-
-/// `--halt-at-slot`: write the checkpoint and exit cleanly. Unlike the
-/// periodic path, a checkpoint failure here is fatal — the operator
-/// asked for durable state and there is no later boundary to retry at.
-fn halt(
-    session: &ServeSession<'_>,
-    opts: &Options,
-    ops: &mut DaemonOps,
-    dur: &mut Durability,
-) -> Result<(), String> {
-    let path = opts.checkpoint.as_deref().expect("validated at startup");
-    dur.write_checkpoint(session, path, ops)?;
-    // halt() runs right after close_slot: a slot boundary, so GC is
-    // safe and the next resume starts from a freshly anchored WAL.
-    dur.checkpoint_installed(session.next_slot() as u64, ops);
-    ops.finish(opts.telemetry.as_deref())?;
-    println!(
-        "halt         : {} slots served, as requested — continue with \
-         --resume {path}",
-        session.next_slot()
-    );
-    Ok(())
-}
-
-/// Fatal-exit path for transport death and a blown bad-line budget:
-/// preserve whatever durable state we can (final checkpoint if
-/// configured, WAL fsync, ops sidecar), then surface the error.
-fn fail_serve(
-    session: &ServeSession<'_>,
-    opts: &Options,
-    ops: &mut DaemonOps,
-    dur: &mut Durability,
-    error: String,
-) -> Result<(), String> {
-    if let Some(path) = &opts.checkpoint {
-        if let Err(e) = dur.write_checkpoint(session, path, ops) {
-            eprintln!("serve        : final checkpoint failed: {e}");
+        self.ops
+            .after_slot(&mut self.session, requests, slot_wall_us);
+        if opts.halt_at_slot == Some(self.session.next_slot()) {
+            self.halt()?;
+            return Ok(true);
         }
+        Ok(false)
     }
-    dur.shutdown_sync();
-    if let Err(e) = ops.finish(opts.telemetry.as_deref()) {
-        eprintln!("serve        : ops sidecar failed: {e}");
+
+    /// `--halt-at-slot`: write the checkpoint and exit cleanly. Unlike
+    /// the periodic path, a checkpoint failure here is fatal — the
+    /// operator asked for durable state and there is no later boundary
+    /// to retry at.
+    fn halt(&mut self) -> Result<(), String> {
+        let path = self
+            .opts
+            .checkpoint
+            .as_deref()
+            .expect("validated at startup");
+        self.dur
+            .write_checkpoint(&self.session, path, &mut self.ops)?;
+        // A slot just closed: a slot boundary, so GC is safe and the
+        // next resume starts from a freshly anchored WAL.
+        self.dur
+            .checkpoint_installed(self.session.next_slot() as u64, &mut self.ops);
+        self.ops.finish(self.opts.telemetry.as_deref())?;
+        println!(
+            "halt         : {} slots served, as requested — continue with \
+             --resume {path}",
+            self.session.next_slot()
+        );
+        Ok(())
     }
-    Err(error)
+
+    /// Fatal-exit path for transport death and a blown bad-line budget:
+    /// preserve whatever durable state we can (pending arrivals, final
+    /// checkpoint if configured, WAL fsync, ops sidecar), then hand the
+    /// error back.
+    fn fail(&mut self, error: String) -> String {
+        self.flush_arrivals();
+        if let Some(path) = &self.opts.checkpoint {
+            if let Err(e) = self
+                .dur
+                .write_checkpoint(&self.session, path, &mut self.ops)
+            {
+                eprintln!("serve        : final checkpoint failed: {e}");
+            }
+        }
+        self.dur.shutdown_sync();
+        if let Err(e) = self.ops.finish(self.opts.telemetry.as_deref()) {
+            eprintln!("serve        : ops sidecar failed: {e}");
+        }
+        error
+    }
 }
 
 /// `carbon-edge gen-arrivals`.
@@ -1555,33 +1392,39 @@ mod tests {
 
     #[test]
     fn wire_lines_parse() {
-        match parse_line("{\"edge\": 2, \"count\": 7}", 4).expect("valid") {
-            WireLine::Request { edge, count } => {
+        match wire::decode_strict("{\"edge\": 2, \"count\": 7}", 4).expect("valid") {
+            WireMsg::Request { edge, count } => {
                 assert_eq!((edge, count), (2, 7));
             }
-            WireLine::SlotEnd => panic!("not a slot end"),
+            WireMsg::SlotEnd => panic!("not a slot end"),
         }
-        match parse_line("{\"edge\": 0}", 4).expect("count defaults to 1") {
-            WireLine::Request { edge, count } => {
+        match wire::decode_strict("{\"edge\": 0}", 4).expect("count defaults to 1") {
+            WireMsg::Request { edge, count } => {
                 assert_eq!((edge, count), (0, 1));
             }
-            WireLine::SlotEnd => panic!("not a slot end"),
+            WireMsg::SlotEnd => panic!("not a slot end"),
         }
         assert!(matches!(
-            parse_line("{\"slot_end\": true}", 4),
-            Ok(WireLine::SlotEnd)
+            wire::decode_strict("{\"slot_end\": true}", 4),
+            Ok(WireMsg::SlotEnd)
         ));
     }
 
     #[test]
     fn wire_lines_reject_malformed_input() {
-        assert!(parse_line("not json", 4).is_err());
-        assert!(parse_line("[1, 2]", 4).is_err());
-        assert!(parse_line("{\"slot_end\": false}", 4).is_err());
-        assert!(parse_line("{\"count\": 3}", 4).is_err(), "edge is required");
-        assert!(parse_line("{\"edge\": -1}", 4).is_err());
-        assert!(parse_line("{\"edge\": 4}", 4).is_err(), "out of range");
-        assert!(parse_line("{\"edge\": 1, \"count\": -2}", 4).is_err());
+        assert!(wire::decode_strict("not json", 4).is_err());
+        assert!(wire::decode_strict("[1, 2]", 4).is_err());
+        assert!(wire::decode_strict("{\"slot_end\": false}", 4).is_err());
+        assert!(
+            wire::decode_strict("{\"count\": 3}", 4).is_err(),
+            "edge is required"
+        );
+        assert!(wire::decode_strict("{\"edge\": -1}", 4).is_err());
+        assert!(
+            wire::decode_strict("{\"edge\": 4}", 4).is_err(),
+            "out of range"
+        );
+        assert!(wire::decode_strict("{\"edge\": 1, \"count\": -2}", 4).is_err());
     }
 
     #[test]
@@ -1595,7 +1438,7 @@ mod tests {
                 continue;
             }
             assert!(
-                parse_line(prefix, 8).is_err(),
+                wire::decode_strict(prefix, 8).is_err(),
                 "torn prefix must not parse: {prefix:?}"
             );
         }
@@ -1603,50 +1446,53 @@ mod tests {
         // Duplicate keys: the first occurrence wins (the hand-rolled
         // parser keeps both; lookup is first-match). Pinned so the
         // behavior is deliberate, not accidental.
-        match parse_line("{\"edge\": 1, \"edge\": 7}", 8).expect("first edge wins") {
-            WireLine::Request { edge, count } => assert_eq!((edge, count), (1, 1)),
-            WireLine::SlotEnd => panic!("not a slot end"),
+        match wire::decode_strict("{\"edge\": 1, \"edge\": 7}", 8).expect("first edge wins") {
+            WireMsg::Request { edge, count } => assert_eq!((edge, count), (1, 1)),
+            WireMsg::SlotEnd => panic!("not a slot end"),
         }
-        match parse_line("{\"edge\": 0, \"count\": 2, \"count\": 9}", 8).expect("first count wins")
+        match wire::decode_strict("{\"edge\": 0, \"count\": 2, \"count\": 9}", 8)
+            .expect("first count wins")
         {
-            WireLine::Request { edge, count } => assert_eq!((edge, count), (0, 2)),
-            WireLine::SlotEnd => panic!("not a slot end"),
+            WireMsg::Request { edge, count } => assert_eq!((edge, count), (0, 2)),
+            WireMsg::SlotEnd => panic!("not a slot end"),
         }
 
         // slot_end interleaved with request fields: slot_end takes
         // precedence regardless of field order.
         assert!(matches!(
-            parse_line("{\"edge\": 1, \"slot_end\": true}", 8),
-            Ok(WireLine::SlotEnd)
+            wire::decode_strict("{\"edge\": 1, \"slot_end\": true}", 8),
+            Ok(WireMsg::SlotEnd)
         ));
         assert!(matches!(
-            parse_line("{\"slot_end\": true, \"count\": 5}", 8),
-            Ok(WireLine::SlotEnd)
+            wire::decode_strict("{\"slot_end\": true, \"count\": 5}", 8),
+            Ok(WireMsg::SlotEnd)
         ));
-        assert!(parse_line("{\"slot_end\": 1}", 8).is_err());
-        assert!(parse_line("{\"slot_end\": \"true\"}", 8).is_err());
+        assert!(wire::decode_strict("{\"slot_end\": 1}", 8).is_err());
+        assert!(wire::decode_strict("{\"slot_end\": \"true\"}", 8).is_err());
 
         // Huge, negative, and non-integer edge/count values.
         assert!(
-            parse_line("{\"edge\": 18446744073709551615}", 8).is_err(),
+            wire::decode_strict("{\"edge\": 18446744073709551615}", 8).is_err(),
             "u64::MAX edge"
         );
         assert!(
-            parse_line("{\"edge\": 99999999999999999999999}", 8).is_err(),
+            wire::decode_strict("{\"edge\": 99999999999999999999999}", 8).is_err(),
             "overflow"
         );
-        assert!(parse_line("{\"edge\": -3}", 8).is_err());
-        assert!(parse_line("{\"edge\": 1.5}", 8).is_err());
-        assert!(parse_line("{\"edge\": \"1\"}", 8).is_err());
-        assert!(parse_line("{\"edge\": 1, \"count\": -9223372036854775808}", 8).is_err());
-        assert!(parse_line("{\"edge\": 1, \"count\": 3.7}", 8).is_err());
-        assert!(parse_line("{\"edge\": 1, \"count\": null}", 8).is_err());
+        assert!(wire::decode_strict("{\"edge\": -3}", 8).is_err());
+        assert!(wire::decode_strict("{\"edge\": 1.5}", 8).is_err());
+        assert!(wire::decode_strict("{\"edge\": \"1\"}", 8).is_err());
+        assert!(wire::decode_strict("{\"edge\": 1, \"count\": -9223372036854775808}", 8).is_err());
+        assert!(wire::decode_strict("{\"edge\": 1, \"count\": 3.7}", 8).is_err());
+        assert!(wire::decode_strict("{\"edge\": 1, \"count\": null}", 8).is_err());
         // u64::MAX count is structurally valid — the accumulator is
         // u64 and the daemon's per-slot sum may saturate, but parsing
         // must not reject or wrap it.
-        match parse_line("{\"edge\": 0, \"count\": 18446744073709551615}", 8).expect("valid") {
-            WireLine::Request { count, .. } => assert_eq!(count, u64::MAX),
-            WireLine::SlotEnd => panic!("not a slot end"),
+        match wire::decode_strict("{\"edge\": 0, \"count\": 18446744073709551615}", 8)
+            .expect("valid")
+        {
+            WireMsg::Request { count, .. } => assert_eq!(count, u64::MAX),
+            WireMsg::SlotEnd => panic!("not a slot end"),
         }
 
         // Structural garbage.
@@ -1666,8 +1512,52 @@ mod tests {
             "{\"edge\" 1}",
             "\u{0}\u{1}\u{2}",
         ] {
-            assert!(parse_line(line, 8).is_err(), "must reject {line:?}");
+            assert!(
+                wire::decode_strict(line, 8).is_err(),
+                "must reject {line:?}"
+            );
         }
+    }
+
+    #[test]
+    fn retry_events_are_byte_stable() {
+        // Operators alert on these exact stderr lines.
+        assert_eq!(
+            retry_event(
+                "transport_retry",
+                1,
+                Duration::from_millis(50),
+                "transport read failed: Connection reset by peer (os error 104)"
+            ),
+            r#"{"event":"transport_retry","attempt":1,"delay_ms":50,"error":"transport read failed: Connection reset by peer (os error 104)"}"#
+        );
+        assert_eq!(
+            retry_event(
+                "wal_retry",
+                3,
+                Duration::from_millis(200),
+                "cannot append to \"wal-0.log\": No space left on device (os error 28)"
+            ),
+            r#"{"event":"wal_retry","attempt":3,"delay_ms":200,"error":"cannot append to \"wal-0.log\": No space left on device (os error 28)"}"#
+        );
+        assert_eq!(
+            retry_event(
+                "checkpoint_retry",
+                4,
+                Duration::from_millis(800),
+                "cannot write /x/state.ckpt.tmp: No such file or directory (os error 2)"
+            ),
+            r#"{"event":"checkpoint_retry","attempt":4,"delay_ms":800,"error":"cannot write /x/state.ckpt.tmp: No such file or directory (os error 2)"}"#
+        );
+        assert_eq!(
+            retry_event(
+                "wal_retry",
+                0,
+                Duration::ZERO,
+                "final sync failed: Input/output error (os error 5)"
+            ),
+            r#"{"event":"wal_retry","attempt":0,"delay_ms":0,"error":"final sync failed: Input/output error (os error 5)"}"#
+        );
     }
 
     #[test]
@@ -1758,11 +1648,11 @@ mod tests {
             ReaderMsg::Block(b) if b.data == b"ok\n" && b.offset == 0
         ));
         match &msgs[1] {
-            ReaderMsg::Bad {
+            ReaderMsg::Bad(BadLine {
                 reason,
                 offset,
                 snippet,
-            } => {
+            }) => {
                 assert_eq!(
                     reason,
                     &format!("line exceeds --max-line-bytes 64 ({huge} bytes discarded)")
@@ -1785,7 +1675,7 @@ mod tests {
         let msgs: Vec<ReaderMsg> = rx.iter().collect();
         assert_eq!(msgs.len(), 1);
         match &msgs[0] {
-            ReaderMsg::Bad { reason, offset, .. } => {
+            ReaderMsg::Bad(BadLine { reason, offset, .. }) => {
                 assert!(reason.contains(&format!("{} bytes discarded", READ_CHUNK + 500)));
                 assert_eq!(*offset, 0);
             }
@@ -1838,9 +1728,9 @@ mod tests {
                     continue;
                 }
                 let line = format!("{{\"edge\":{i},\"count\":{c}}}");
-                match parse_line(&line, 3).expect("generated lines parse") {
-                    WireLine::Request { edge, count } => rebuilt[edge] += count,
-                    WireLine::SlotEnd => panic!("not a slot end"),
+                match wire::decode_strict(&line, 3).expect("generated lines parse") {
+                    WireMsg::Request { edge, count } => rebuilt[edge] += count,
+                    WireMsg::SlotEnd => panic!("not a slot end"),
                 }
             }
             assert_eq!(rebuilt, counts, "slot {t}");

@@ -3,8 +3,7 @@
 //! crash point inside a WAL append / checkpoint write), recover with
 //! `--resume` + `--wal`, and require the stitched run's telemetry to be
 //! byte-identical to an uninterrupted reference run — at a different
-//! resume `--edge-threads`, in both serve modes, under the ci_smoke
-//! fault scenario.
+//! resume `--edge-threads`, under the ci_smoke fault scenario.
 //!
 //! The kill points come from a seeded generator (`0xC0FFEE`; override
 //! with the `CHAOS_SEED` env var). Every assertion message carries the
@@ -19,6 +18,7 @@ use std::time::{Duration, Instant};
 
 use cne_core::wal;
 use cne_core::Checkpoint;
+use cne_util::json::Json;
 
 const BIN: &str = env!("CARGO_BIN_EXE_carbon-edge");
 const FAULTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/ci_smoke.json");
@@ -100,15 +100,12 @@ fn remainder_stream(cursor: usize, open: &[u64]) -> Vec<String> {
 
 /// Base `serve` invocation; every run shares the deterministic knobs so
 /// traces are comparable.
-fn serve_cmd(per_request: bool, extra: &[&str]) -> Command {
+fn serve_cmd(extra: &[&str]) -> Command {
     let mut cmd = Command::new(BIN);
     cmd.arg("serve")
         .args(["--quick", "--edges", "4", "--slots", "12"])
-        .args(["--seed", SEED, "--policy", "ours", "--faults", FAULTS]);
-    if per_request {
-        cmd.arg("--serve-per-request");
-    }
-    cmd.args(extra)
+        .args(["--seed", SEED, "--policy", "ours", "--faults", FAULTS])
+        .args(extra)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped());
@@ -116,13 +113,17 @@ fn serve_cmd(per_request: bool, extra: &[&str]) -> Command {
 }
 
 /// Runs a daemon to completion over the given lines; returns its output.
-fn run_to_completion(mut cmd: Command, lines: &[String]) -> Output {
+/// Each line goes out with its newline in one write, so a line of at
+/// most `PIPE_BUF` bytes reaches the daemon whole inside one read.
+fn run_to_completion<L: AsRef<[u8]>>(mut cmd: Command, lines: &[L]) -> Output {
     let mut child = cmd.spawn().expect("spawn daemon");
     let mut stdin = child.stdin.take().expect("stdin");
     for line in lines {
+        let mut bytes = line.as_ref().to_vec();
+        bytes.push(b'\n');
         // EPIPE is expected when the daemon dies mid-stream (crash
         // injection) or finishes its horizon early.
-        if writeln!(stdin, "{line}").is_err() {
+        if stdin.write_all(&bytes).is_err() {
             break;
         }
     }
@@ -131,13 +132,10 @@ fn run_to_completion(mut cmd: Command, lines: &[String]) -> Output {
 }
 
 /// The uninterrupted reference run's telemetry bytes.
-fn reference_trace(dir: &Path, per_request: bool) -> Vec<u8> {
+fn reference_trace(dir: &Path) -> Vec<u8> {
     let out = dir.join("ref.jsonl");
     let output = run_to_completion(
-        serve_cmd(
-            per_request,
-            &["--telemetry", out.to_str().expect("utf-8 path")],
-        ),
+        serve_cmd(&["--telemetry", out.to_str().expect("utf-8 path")]),
         &full_stream(),
     );
     assert!(
@@ -199,34 +197,25 @@ fn recovered_state(ckpt: &Path, waldir: &Path) -> (usize, Vec<u64>) {
 }
 
 /// Resumes a crashed run and returns `(daemon output, telemetry bytes)`.
-fn resume_run(
-    dir: &Path,
-    waldir: &Path,
-    ckpt: &Path,
-    per_request: bool,
-    edge_threads: &str,
-) -> (Output, Vec<u8>) {
+fn resume_run(dir: &Path, waldir: &Path, ckpt: &Path, edge_threads: &str) -> (Output, Vec<u8>) {
     let (cursor, open) = recovered_state(ckpt, waldir);
     assert!(cursor < SLOTS, "daemon was killed after its horizon");
     let out = dir.join(format!("resume-{edge_threads}.jsonl"));
     let output = run_to_completion(
-        serve_cmd(
-            per_request,
-            &[
-                "--resume",
-                ckpt.to_str().expect("utf-8 path"),
-                "--checkpoint",
-                ckpt.to_str().expect("utf-8 path"),
-                "--checkpoint-every",
-                "3",
-                "--wal",
-                waldir.to_str().expect("utf-8 path"),
-                "--edge-threads",
-                edge_threads,
-                "--telemetry",
-                out.to_str().expect("utf-8 path"),
-            ],
-        ),
+        serve_cmd(&[
+            "--resume",
+            ckpt.to_str().expect("utf-8 path"),
+            "--checkpoint",
+            ckpt.to_str().expect("utf-8 path"),
+            "--checkpoint-every",
+            "3",
+            "--wal",
+            waldir.to_str().expect("utf-8 path"),
+            "--edge-threads",
+            edge_threads,
+            "--telemetry",
+            out.to_str().expect("utf-8 path"),
+        ]),
         &remainder_stream(cursor, &open),
     );
     assert!(
@@ -237,9 +226,9 @@ fn resume_run(
     (output, std::fs::read(&out).expect("resumed telemetry"))
 }
 
-/// SIGKILL at seeded random stream offsets, across fsync policies,
-/// serve modes, and resume edge-thread counts: recovery is always
-/// byte-identical to the uninterrupted run.
+/// SIGKILL at seeded random stream offsets, across fsync policies and
+/// resume edge-thread counts: recovery is always byte-identical to the
+/// uninterrupted run.
 #[test]
 fn sigkill_recovery_is_bit_identical() {
     let seed = chaos_seed();
@@ -247,45 +236,36 @@ fn sigkill_recovery_is_bit_identical() {
     eprintln!("chaos seed   : {seed:#x} (override with CHAOS_SEED)");
     let lines = full_stream();
 
-    // (per_request, wal_sync, resume edge threads)
-    let grid = [
-        (false, "every", "4"),
-        (false, "slot", "1"),
-        (false, "off", "4"),
-        (true, "slot", "1"),
-    ];
-    for (i, (per_request, wal_sync, threads)) in grid.into_iter().enumerate() {
+    // (wal_sync, resume edge threads)
+    let grid = [("every", "4"), ("slot", "1"), ("off", "4")];
+    for (i, (wal_sync, threads)) in grid.into_iter().enumerate() {
         let dir = temp_dir(&format!("kill{i}"));
-        let reference = reference_trace(&dir, per_request);
+        let reference = reference_trace(&dir);
         let waldir = dir.join("wal");
         let ckpt = dir.join("state.ckpt");
         let kill_after = 1 + (next_rand(&mut rng) as usize) % (lines.len() - 1);
         run_and_kill(
-            serve_cmd(
-                per_request,
-                &[
-                    "--checkpoint",
-                    ckpt.to_str().expect("utf-8 path"),
-                    "--checkpoint-every",
-                    "3",
-                    "--wal",
-                    waldir.to_str().expect("utf-8 path"),
-                    "--wal-sync",
-                    wal_sync,
-                    "--telemetry",
-                    dir.join("chaos.jsonl").to_str().expect("utf-8 path"),
-                ],
-            ),
+            serve_cmd(&[
+                "--checkpoint",
+                ckpt.to_str().expect("utf-8 path"),
+                "--checkpoint-every",
+                "3",
+                "--wal",
+                waldir.to_str().expect("utf-8 path"),
+                "--wal-sync",
+                wal_sync,
+                "--telemetry",
+                dir.join("chaos.jsonl").to_str().expect("utf-8 path"),
+            ]),
             &lines,
             kill_after,
             &waldir,
         );
-        let (_, trace) = resume_run(&dir, &waldir, &ckpt, per_request, threads);
+        let (_, trace) = resume_run(&dir, &waldir, &ckpt, threads);
         assert_eq!(
             trace, reference,
             "telemetry diverged after SIGKILL at line {kill_after} \
-             (chaos seed {seed:#x}, per_request={per_request}, \
-             wal-sync={wal_sync}, resume threads {threads})"
+             (chaos seed {seed:#x}, wal-sync={wal_sync}, resume threads {threads})"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -300,7 +280,7 @@ fn sigkill_recovery_is_bit_identical() {
 #[test]
 fn group_commit_burst_survives_sigkill() {
     let dir = temp_dir("group-commit");
-    let reference = reference_trace(&dir, false);
+    let reference = reference_trace(&dir);
     let waldir = dir.join("wal");
     let ckpt = dir.join("state.ckpt");
 
@@ -317,21 +297,18 @@ fn group_commit_burst_survives_sigkill() {
         + open_requests;
     let burst = lines[..kill_after].join("\n") + "\n";
 
-    let mut child = serve_cmd(
-        false,
-        &[
-            "--checkpoint",
-            ckpt.to_str().expect("utf-8 path"),
-            "--checkpoint-every",
-            "3",
-            "--wal",
-            waldir.to_str().expect("utf-8 path"),
-            "--wal-sync",
-            "every",
-            "--telemetry",
-            dir.join("chaos.jsonl").to_str().expect("utf-8 path"),
-        ],
-    )
+    let mut child = serve_cmd(&[
+        "--checkpoint",
+        ckpt.to_str().expect("utf-8 path"),
+        "--checkpoint-every",
+        "3",
+        "--wal",
+        waldir.to_str().expect("utf-8 path"),
+        "--wal-sync",
+        "every",
+        "--telemetry",
+        dir.join("chaos.jsonl").to_str().expect("utf-8 path"),
+    ])
     .stdout(Stdio::null())
     .stderr(Stdio::null())
     .spawn()
@@ -375,7 +352,7 @@ fn group_commit_burst_survives_sigkill() {
         "group-committed record must replay per-line accounting"
     );
 
-    let (_, trace) = resume_run(&dir, &waldir, &ckpt, false, "4");
+    let (_, trace) = resume_run(&dir, &waldir, &ckpt, "4");
     assert_eq!(
         trace, reference,
         "telemetry diverged after SIGKILL mid group-committed burst"
@@ -397,22 +374,19 @@ fn injected_crash_points_recover_bit_identically() {
     for (spec, expect_torn) in cases {
         let tag = spec.split(':').next().expect("point");
         let dir = temp_dir(tag);
-        let reference = reference_trace(&dir, false);
+        let reference = reference_trace(&dir);
         let waldir = dir.join("wal");
         let ckpt = dir.join("state.ckpt");
-        let mut cmd = serve_cmd(
-            false,
-            &[
-                "--checkpoint",
-                ckpt.to_str().expect("utf-8 path"),
-                "--checkpoint-every",
-                "3",
-                "--wal",
-                waldir.to_str().expect("utf-8 path"),
-                "--telemetry",
-                dir.join("chaos.jsonl").to_str().expect("utf-8 path"),
-            ],
-        );
+        let mut cmd = serve_cmd(&[
+            "--checkpoint",
+            ckpt.to_str().expect("utf-8 path"),
+            "--checkpoint-every",
+            "3",
+            "--wal",
+            waldir.to_str().expect("utf-8 path"),
+            "--telemetry",
+            dir.join("chaos.jsonl").to_str().expect("utf-8 path"),
+        ]);
         cmd.env("CARBON_EDGE_CRASH", spec);
         let output = run_to_completion(cmd, &full_stream());
         assert!(!output.status.success(), "{spec} must abort the daemon");
@@ -422,7 +396,7 @@ fn injected_crash_points_recover_bit_identically() {
             "{spec}: missing crash event in {stderr}"
         );
 
-        let (resumed, trace) = resume_run(&dir, &waldir, &ckpt, false, "4");
+        let (resumed, trace) = resume_run(&dir, &waldir, &ckpt, "4");
         let resumed_err = String::from_utf8_lossy(&resumed.stderr);
         if expect_torn {
             assert!(
@@ -448,8 +422,8 @@ fn fresh_start_refuses_existing_wal() {
     drop(handle);
 
     let output = run_to_completion(
-        serve_cmd(false, &["--wal", waldir.to_str().expect("utf-8 path")]),
-        &[],
+        serve_cmd(&["--wal", waldir.to_str().expect("utf-8 path")]),
+        &[] as &[String],
     );
     assert!(!output.status.success());
     let stderr = String::from_utf8_lossy(&output.stderr);
@@ -460,38 +434,97 @@ fn fresh_start_refuses_existing_wal() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Hostile wire input end-to-end: garbage within the `--max-bad-lines`
-/// budget is rejected line-by-line without touching the deterministic
-/// run; a blown budget kills the daemon with a structured error.
+/// `(offset, reason)` of every `bad_line` stderr event, in order.
+fn bad_line_events(stderr: &str) -> Vec<(u64, String)> {
+    stderr
+        .lines()
+        .filter(|l| l.contains("\"event\":\"bad_line\""))
+        .map(|l| {
+            let event = cne_util::json::parse(l).expect("bad_line events are JSON");
+            (
+                event.get("offset").and_then(Json::as_u64).expect("offset"),
+                event
+                    .get("reason")
+                    .and_then(Json::as_str)
+                    .expect("reason")
+                    .to_owned(),
+            )
+        })
+        .collect()
+}
+
+/// Hostile wire input end-to-end, through every reject source:
+/// malformed JSON and bad field values (strict decoder), raw non-UTF-8
+/// bytes, an oversized line that arrives whole inside one read (the
+/// serve loop's length check), and one that spans read chunks (the
+/// transport reader's discard mode). Garbage within the
+/// `--max-bad-lines` budget is rejected line by line, each with its
+/// reason and absolute stream offset, without touching the
+/// deterministic run; a blown budget kills the daemon with a
+/// structured error naming the exact rejected count.
 #[test]
 fn bad_line_budget_is_enforced_end_to_end() {
-    let garbage = [
-        "### not json at all",
-        "{\"edge\": \"zero\"}",
-        "{\"edge\": 0, \"count\": -3}",
+    const MAX_LINE: usize = 64;
+    let strict = |line: &str| cne_core::wire::decode_strict(line, EDGES).unwrap_err();
+    let oversize =
+        |len: usize| format!("line exceeds --max-line-bytes {MAX_LINE} ({len} bytes discarded)");
+    // A well-formed request padded past the cap: accepting it would
+    // change the trace.
+    let mut in_block = b"{\"edge\":0,\"count\":9}".to_vec();
+    in_block.resize(100, b' ');
+    let spanning = vec![b'x'; 256 * 1024 + 1000];
+    let garbage: Vec<(Vec<u8>, String)> = vec![
+        (
+            b"### not json at all".to_vec(),
+            strict("### not json at all"),
+        ),
+        (
+            b"{\"edge\": \"zero\"}".to_vec(),
+            strict("{\"edge\": \"zero\"}"),
+        ),
+        (
+            b"{\"edge\": 0, \"count\": -3}".to_vec(),
+            strict("{\"edge\": 0, \"count\": -3}"),
+        ),
+        (
+            vec![0xFF, 0xFE, b'{', 0xFF],
+            "non-UTF-8 line (4 bytes)".to_owned(),
+        ),
+        (in_block, oversize(100)),
+        (spanning.clone(), oversize(spanning.len())),
     ];
+    let max_line = MAX_LINE.to_string();
 
     // Within budget: the run completes and matches the clean reference.
     let dir = temp_dir("budget-ok");
-    let reference = reference_trace(&dir, false);
-    let mut lines = full_stream();
-    for (i, g) in garbage.iter().enumerate() {
-        lines.insert(i * 7, (*g).to_owned());
+    let reference = reference_trace(&dir);
+    let mut lines: Vec<Vec<u8>> = full_stream().into_iter().map(String::into_bytes).collect();
+    let mut expected = Vec::new();
+    for (i, (line, reason)) in garbage.iter().enumerate() {
+        let at = i * 7;
+        lines.insert(at, line.clone());
+        let offset: usize = lines[..at].iter().map(|l| l.len() + 1).sum();
+        expected.push((offset as u64, reason.clone()));
     }
     let out = dir.join("noisy.jsonl");
     let output = run_to_completion(
-        serve_cmd(false, &["--telemetry", out.to_str().expect("utf-8 path")]),
+        serve_cmd(&[
+            "--max-line-bytes",
+            &max_line,
+            "--telemetry",
+            out.to_str().expect("utf-8 path"),
+        ]),
         &lines,
-    );
-    assert!(
-        output.status.success(),
-        "in-budget garbage must not kill the daemon: {}",
-        String::from_utf8_lossy(&output.stderr)
     );
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
-        stderr.contains("\"event\":\"bad_line\""),
-        "rejections must be logged: {stderr}"
+        output.status.success(),
+        "in-budget garbage must not kill the daemon: {stderr}"
+    );
+    assert_eq!(
+        bad_line_events(&stderr),
+        expected,
+        "every rejection is logged with its reason and stream offset"
     );
     assert_eq!(
         std::fs::read(&out).expect("telemetry"),
@@ -500,19 +533,31 @@ fn bad_line_budget_is_enforced_end_to_end() {
     );
     std::fs::remove_dir_all(&dir).ok();
 
-    // Blown budget: a structured fatal error, not a hang or a panic.
-    let dir = temp_dir("budget-blown");
-    let mut lines: Vec<String> = garbage.iter().map(|g| (*g).to_owned()).collect();
-    lines.push("more garbage".to_owned());
-    lines.extend(full_stream());
-    let output = run_to_completion(serve_cmd(false, &["--max-bad-lines", "2"]), &lines);
-    assert!(!output.status.success());
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("too many bad wire lines"),
-        "missing budget error in {stderr}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    // Blown budget, with each reject source as the line that blows it:
+    // a structured fatal error, not a hang or a panic.
+    for (line, reason) in &garbage[2..] {
+        let mut lines: Vec<Vec<u8>> = garbage[..2].iter().map(|(g, _)| g.clone()).collect();
+        lines.push(line.clone());
+        lines.extend(full_stream().into_iter().map(String::into_bytes));
+        let output = run_to_completion(
+            serve_cmd(&["--max-line-bytes", &max_line, "--max-bad-lines", "2"]),
+            &lines,
+        );
+        assert!(
+            !output.status.success(),
+            "budget must be fatal after {reason}"
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            bad_line_events(&stderr).last().map(|(_, r)| r),
+            Some(reason),
+            "{stderr}"
+        );
+        assert!(
+            stderr.contains("too many bad wire lines (3 rejected, --max-bad-lines 2)"),
+            "missing budget error in {stderr}"
+        );
+    }
 }
 
 /// A persistently failing checkpoint path flips the daemon into
@@ -521,21 +566,18 @@ fn bad_line_budget_is_enforced_end_to_end() {
 #[test]
 fn persistent_checkpoint_failure_degrades_but_serves() {
     let dir = temp_dir("degraded");
-    let reference = reference_trace(&dir, false);
+    let reference = reference_trace(&dir);
     let out = dir.join("degraded.jsonl");
     let ckpt = dir.join("no-such-dir").join("state.ckpt");
     let output = run_to_completion(
-        serve_cmd(
-            false,
-            &[
-                "--checkpoint",
-                ckpt.to_str().expect("utf-8 path"),
-                "--checkpoint-every",
-                "6",
-                "--telemetry",
-                out.to_str().expect("utf-8 path"),
-            ],
-        ),
+        serve_cmd(&[
+            "--checkpoint",
+            ckpt.to_str().expect("utf-8 path"),
+            "--checkpoint-every",
+            "6",
+            "--telemetry",
+            out.to_str().expect("utf-8 path"),
+        ]),
         &full_stream(),
     );
     assert!(

@@ -88,9 +88,9 @@ pub use offline::OfflinePolicy;
 pub use problem::LossNormalizer;
 pub use runner::{
     evaluate, evaluate_many, evaluate_many_with, evaluate_with, resolve_edge_threads,
-    resolve_gate_batch, resolve_threads, EvalOptions, EvalReport, EvalResult, PolicySpec,
-    EDGE_THREADS_ENV_VAR, GATE_BATCH_ENV_VAR, THREADS_ENV_VAR,
+    resolve_threads, EvalOptions, EvalReport, EvalResult, PolicySpec, EDGE_THREADS_ENV_VAR,
+    THREADS_ENV_VAR,
 };
 pub use serve::{ServeOptions, ServeOutcome, ServeSession};
 pub use wal::{SyncPolicy, Wal, WalOptions, WalRecord, WalTail};
-pub use wire::{WireDecode, WireMsg};
+pub use wire::WireMsg;

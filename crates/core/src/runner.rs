@@ -27,10 +27,9 @@
 //! the two levels multiply, the driver caps `threads × edge_threads`
 //! at the machine's available cores and reports the cap through
 //! [`EvalReport::warnings`]. Edge workers amortize their per-slot gate
-//! handshake over a batch window of slots ([`EvalOptions::gate_batch`],
-//! `CARBON_EDGE_GATE_BATCH`, default
-//! [`cne_edgesim::DEFAULT_GATE_BATCH`] — see [`resolve_gate_batch`]);
-//! the window is a pure scheduling knob, bit-identical at every size.
+//! handshake over a batch window of
+//! [`cne_edgesim::DEFAULT_GATE_BATCH`] slots; the window is a pure
+//! scheduling constant, bit-identical at every size.
 //!
 //! # Telemetry and profiling
 //!
@@ -76,11 +75,6 @@ pub const THREADS_ENV_VAR: &str = "CARBON_EDGE_THREADS";
 /// are ignored.
 pub const EDGE_THREADS_ENV_VAR: &str = "CARBON_EDGE_EDGE_THREADS";
 
-/// Environment variable consulted for the edge-worker batch window
-/// when [`EvalOptions::gate_batch`] is unset. Invalid or zero values
-/// are ignored.
-pub const GATE_BATCH_ENV_VAR: &str = "CARBON_EDGE_GATE_BATCH";
-
 /// Which policy to evaluate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicySpec {
@@ -115,13 +109,6 @@ pub struct EvalOptions {
     /// count; the driver caps `threads × edge_threads` at the
     /// machine's available cores (see [`EvalReport::warnings`]).
     pub edge_threads: Option<usize>,
-    /// Batch window for the edge workers' epoch-gate handshake: each
-    /// worker runs this many consecutive slots per gate round trip.
-    /// `None` defers to the `CARBON_EDGE_GATE_BATCH` environment
-    /// variable, then to [`cne_edgesim::DEFAULT_GATE_BATCH`]. A pure
-    /// scheduling knob — results and traces are bit-identical at every
-    /// window size (see [`resolve_gate_batch`]).
-    pub gate_batch: Option<usize>,
     /// Collect a telemetry [`Recorder`] per run (see
     /// [`EvalReport::telemetry`]).
     pub telemetry: bool,
@@ -133,8 +120,8 @@ pub struct EvalOptions {
     pub progress: bool,
     /// How the environment reduces the per-slot request streams
     /// (batched sufficient statistics by default; the per-request path
-    /// is the bit-identical equivalence reference behind
-    /// `--serve-per-request`).
+    /// is the bit-identical reference the equivalence tests compare
+    /// against).
     pub serve_mode: ServeMode,
 }
 
@@ -236,27 +223,6 @@ pub fn resolve_edge_threads(requested: Option<usize>) -> usize {
         }
     }
     1
-}
-
-/// Resolves the edge-worker batch window: explicit request, then the
-/// `CARBON_EDGE_GATE_BATCH` environment variable, then
-/// [`cne_edgesim::DEFAULT_GATE_BATCH`]. Always at least 1. The window
-/// never changes results — it only sets how many slots each edge
-/// worker runs per gate handshake (the simulator clamps it to the
-/// horizon).
-#[must_use]
-pub fn resolve_gate_batch(requested: Option<usize>) -> usize {
-    if let Some(n) = requested {
-        return n.max(1);
-    }
-    if let Ok(value) = std::env::var(GATE_BATCH_ENV_VAR) {
-        if let Ok(n) = value.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    DEFAULT_GATE_BATCH
 }
 
 /// The oversubscription guard: caps `edge_threads` so the product of
@@ -541,7 +507,6 @@ pub fn evaluate_many_with(
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let (edge_threads, warning) =
         cap_edge_threads(threads, resolve_edge_threads(options.edge_threads), cores);
-    let gate_batch = resolve_gate_batch(options.gate_batch);
     let mut warnings = Vec::new();
     if let Some(warning) = warning {
         eprintln!("warning: {warning}");
@@ -562,7 +527,7 @@ pub fn evaluate_many_with(
                     options.profile,
                     options.serve_mode,
                     edge_threads,
-                    gate_batch,
+                    DEFAULT_GATE_BATCH,
                 );
                 if options.progress {
                     report_progress(job + 1, num_jobs, &specs[s], seeds[k]);
@@ -592,7 +557,7 @@ pub fn evaluate_many_with(
                         options.profile,
                         options.serve_mode,
                         edge_threads,
-                        gate_batch,
+                        DEFAULT_GATE_BATCH,
                     );
                     *slots[job].lock().expect("no panics while holding the lock") = Some(out);
                     if options.progress {
@@ -941,15 +906,6 @@ mod tests {
         // configurations under CARBON_EDGE_EDGE_THREADS.)
         if std::env::var(EDGE_THREADS_ENV_VAR).is_err() {
             assert_eq!(resolve_edge_threads(None), 1);
-        }
-    }
-
-    #[test]
-    fn resolve_gate_batch_defaults_to_the_simulator_window() {
-        assert_eq!(resolve_gate_batch(Some(3)), 3);
-        assert_eq!(resolve_gate_batch(Some(0)), 1, "zero clamps to one");
-        if std::env::var(GATE_BATCH_ENV_VAR).is_err() {
-            assert_eq!(resolve_gate_batch(None), DEFAULT_GATE_BATCH);
         }
     }
 

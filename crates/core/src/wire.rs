@@ -39,43 +39,6 @@
 
 use cne_util::json::{self, Json};
 
-/// Which decoder pipeline `carbon-edge serve` runs per wire line
-/// (`--wire-decode`). `Fast` is the default and is observably
-/// identical to `Strict` — the CI smoke job `cmp`s full traces from
-/// both — so `Strict` exists for exactly that cross-check and for
-/// bisecting a suspected decoder divergence in the field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireDecode {
-    /// [`decode_fast`] first, strict fallback ([`decode`]).
-    #[default]
-    Fast,
-    /// [`decode_strict`] only.
-    Strict,
-}
-
-impl std::str::FromStr for WireDecode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "fast" => Ok(Self::Fast),
-            "strict" => Ok(Self::Strict),
-            other => Err(format!(
-                "unknown wire decode mode '{other}' (expected 'fast' or 'strict')"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for WireDecode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::Fast => "fast",
-            Self::Strict => "strict",
-        })
-    }
-}
-
 /// One parsed request-stream line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireMsg {
@@ -363,15 +326,6 @@ mod tests {
             assert_eq!(decode_fast(line.as_bytes(), fleet), None, "line {line:?}");
             assert_equivalent(line, fleet);
         }
-    }
-
-    #[test]
-    fn decode_mode_parses() {
-        assert_eq!("fast".parse::<WireDecode>(), Ok(WireDecode::Fast));
-        assert_eq!("STRICT".parse::<WireDecode>(), Ok(WireDecode::Strict));
-        assert!("loose".parse::<WireDecode>().is_err());
-        assert_eq!(WireDecode::Fast.to_string(), "fast");
-        assert_eq!(WireDecode::default(), WireDecode::Fast);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use cne_core::runner::{evaluate_many_with, EvalOptions, PolicySpec};
 use cne_core::{Checkpoint, Combo, ServeOptions, ServeSession};
-use cne_edgesim::{ServeMode, SimConfig};
+use cne_edgesim::{Environment, ServeMode, SimConfig};
 use cne_faults::FaultScenario;
 use cne_nn::{ModelZoo, ZooConfig};
 use cne_simdata::dataset::TaskKind;
@@ -160,35 +160,42 @@ fn resume_from_checkpoint_is_bit_identical() {
 /// Serve checkpoints land wherever the operator (or `--halt-at-slot`)
 /// puts them — almost never on a batch-window boundary of the
 /// parallel driver. A resume from slot `k` with `k % K ≠ 0` must
-/// still reproduce the windowed batch driver's bytes exactly: the
-/// batch window is a scheduling knob of the *driver*, invisible to
-/// recorded state.
+/// still reproduce the windowed parallel run's record exactly, and the
+/// batch driver's trace byte for byte: the batch window is a
+/// scheduling detail of the *driver*, invisible to recorded state.
 #[test]
 fn non_window_aligned_checkpoints_resume_bit_identically() {
     let (zoo, cfg) = setup();
     let arrivals = raw_arrivals(&cfg, SEED);
     let horizon = cfg.horizon;
+    let root = SeedSequence::new(SEED);
 
     for serve_mode in [ServeMode::Batched, ServeMode::PerRequest] {
+        let report = evaluate_many_with(
+            &cfg,
+            &zoo,
+            &[SEED],
+            &[PolicySpec::Combo(Combo::ours())],
+            &EvalOptions {
+                threads: Some(1),
+                edge_threads: Some(4),
+                telemetry: true,
+                serve_mode,
+                ..EvalOptions::default()
+            },
+        );
+        let batch_trace = report.telemetry[0].to_jsonl_string();
         for gate_batch in [3usize, 5] {
-            // Reference: the batch driver running the parallel path
-            // with this batch window.
-            let report = evaluate_many_with(
-                &cfg,
-                &zoo,
-                &[SEED],
-                &[PolicySpec::Combo(Combo::ours())],
-                &EvalOptions {
-                    threads: Some(1),
-                    edge_threads: Some(4),
-                    gate_batch: Some(gate_batch),
-                    telemetry: true,
-                    serve_mode,
-                    ..EvalOptions::default()
-                },
+            // Reference record: the parallel path at 4 edge workers
+            // with this batch window, driven directly.
+            let env =
+                Environment::with_serve_mode(cfg.clone(), &zoo, &root.derive("env"), serve_mode);
+            let mut policy = Combo::ours().build(&env, &root.derive("alg"));
+            let batch_record = env.run_with_batch(&mut policy, None, None, 4, gate_batch);
+            assert_eq!(
+                batch_record, report.results[0].records[0],
+                "batch window {gate_batch} changed the record ({serve_mode:?})"
             );
-            let batch_record = &report.results[0].records[0];
-            let batch_trace = report.telemetry[0].to_jsonl_string();
 
             let opts = ServeOptions {
                 serve_mode,
@@ -232,7 +239,7 @@ fn non_window_aligned_checkpoints_resume_bit_identically() {
                 }
                 let out = tail.finish();
                 assert_eq!(
-                    &out.record, batch_record,
+                    out.record, batch_record,
                     "record diverged: checkpoint at k={k} vs batch window \
                      K={gate_batch} ({serve_mode:?})"
                 );

@@ -26,8 +26,8 @@ use crate::record::{EdgeRecord, RunRecord, SlotRecord};
 
 /// Default epoch-gate batch window for parallel runs: how many
 /// consecutive slots each edge worker runs per command/done gate round
-/// trip when the policy shards (see [`Environment::run_with_batch`];
-/// the CLI `--gate-batch` flag overrides it). Eight slots amortizes
+/// trip when the policy shards (see [`Environment::run_with_batch`],
+/// which tests use to sweep other windows). Eight slots amortizes
 /// the two gate handshakes and all mailbox locking to noise against
 /// even µs-scale slots, while the driver's reduction trails the
 /// workers by at most seven slots.
@@ -51,8 +51,8 @@ pub enum ServeMode {
     #[default]
     Batched,
     /// Keep the drawn indices and reduce them at serve time — the
-    /// legacy per-request loop, retained as the equivalence reference
-    /// and reachable through the `--serve-per-request` debug flag.
+    /// legacy per-request loop, retained as the reference the
+    /// equivalence tests compare the batched mode against.
     PerRequest,
 }
 
