@@ -131,45 +131,6 @@ impl BlockTsallisInf {
         &self.schedule
     }
 
-    /// Shared body of [`ModelSelector::select`] and
-    /// [`ModelSelector::select_profiled`]: at block starts the OMD
-    /// weight solve and the arm draw are timed as child spans when a
-    /// profiler is supplied.
-    fn select_with(
-        &mut self,
-        t: usize,
-        mut profiler: Option<&mut cne_util::span::Profiler>,
-    ) -> usize {
-        assert_eq!(t, self.next_slot, "slots must be visited in order");
-        assert!(t < self.schedule.horizon(), "slot beyond the horizon");
-        if self.schedule.is_block_start(t) {
-            let k = self.schedule.block_of(t);
-            if let Some(p) = profiler.as_deref_mut() {
-                p.enter("omd_weights");
-            }
-            let mut probs = std::mem::take(&mut self.current_probs);
-            let root = tsallis_weights_into(
-                &self.cum_estimates,
-                self.schedule.eta(k),
-                self.warm_lambda,
-                &mut probs,
-            );
-            self.current_probs = probs;
-            self.warm_lambda = Some(root);
-            if let Some(p) = profiler.as_deref_mut() {
-                p.exit();
-                p.enter("draw");
-            }
-            self.current_arm = self.draw_arm();
-            if let Some(p) = profiler {
-                p.exit();
-            }
-            self.block_loss = 0.0;
-            self.block_tainted = false;
-        }
-        self.current_arm
-    }
-
     fn draw_arm(&mut self) -> usize {
         let x: f64 = self.rng.gen();
         let mut acc = 0.0;
@@ -185,11 +146,24 @@ impl BlockTsallisInf {
 
 impl ModelSelector for BlockTsallisInf {
     fn select(&mut self, t: usize) -> usize {
-        self.select_with(t, None)
-    }
-
-    fn select_profiled(&mut self, t: usize, profiler: &mut cne_util::span::Profiler) -> usize {
-        self.select_with(t, Some(profiler))
+        assert_eq!(t, self.next_slot, "slots must be visited in order");
+        assert!(t < self.schedule.horizon(), "slot beyond the horizon");
+        if self.schedule.is_block_start(t) {
+            let k = self.schedule.block_of(t);
+            let mut probs = std::mem::take(&mut self.current_probs);
+            let root = tsallis_weights_into(
+                &self.cum_estimates,
+                self.schedule.eta(k),
+                self.warm_lambda,
+                &mut probs,
+            );
+            self.current_probs = probs;
+            self.warm_lambda = Some(root);
+            self.current_arm = self.draw_arm();
+            self.block_loss = 0.0;
+            self.block_tainted = false;
+        }
+        self.current_arm
     }
 
     fn observe(&mut self, t: usize, arm: usize, loss: f64) {

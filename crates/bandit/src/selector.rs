@@ -1,7 +1,6 @@
 //! The common interface of all model selectors.
 
 use cne_util::json::Json;
-use cne_util::span::Profiler;
 use cne_util::telemetry::Recorder;
 
 /// A sequential model-selection policy for one edge.
@@ -24,15 +23,6 @@ pub trait ModelSelector: Send {
     /// Slots must be visited in order `0, 1, 2, …`; selectors may panic
     /// otherwise.
     fn select(&mut self, t: usize) -> usize;
-
-    /// As [`select`](Self::select), with a wall-clock span profiler
-    /// open on this selector's span. The default ignores the profiler;
-    /// selectors with distinct internal phases override it to time
-    /// them as child spans.
-    fn select_profiled(&mut self, t: usize, profiler: &mut Profiler) -> usize {
-        let _ = profiler;
-        self.select(t)
-    }
 
     /// Reports the loss observed for `arm` during slot `t` (the same
     /// `t`/arm returned by the preceding [`select`](Self::select) call).

@@ -6,11 +6,17 @@
 //! Algorithm 2: well under a second), with Algorithm 2 orders of
 //! magnitude cheaper than Algorithm 1 and Algorithm 1 scaling linearly
 //! with the number of edges.
+//!
+//! Timing comes from the simulator's stage spans: Algorithm 1 is
+//! `run/slot/select` plus `run/slot/feedback` (the selectors' loss
+//! updates dominate the feedback stage), Algorithm 2 is
+//! `run/slot/trade`.
 
-use cne_bench::{fmt, write_tsv, Scale, TimedPolicy};
+use cne_bench::{fmt, write_tsv, Scale};
 use cne_core::combos::Combo;
 use cne_edgesim::Environment;
 use cne_simdata::dataset::TaskKind;
+use cne_util::span::Profiler;
 use cne_util::telemetry::Recorder;
 use cne_util::SeedSequence;
 
@@ -28,18 +34,20 @@ fn main() {
         let config = scale.config(TaskKind::MnistLike, edges);
         let seed = SeedSequence::new(7);
         let env = Environment::new(config, &zoo, &seed.derive("env"));
-        let mut timed = TimedPolicy::new(Combo::ours().build(&env, &seed.derive("alg")));
-        if scale.telemetry.is_some() {
+        let mut policy = Combo::ours().build(&env, &seed.derive("alg"));
+        let mut rec = scale.telemetry.is_some().then(|| {
             let mut rec = Recorder::new();
             rec.set_label("figure", "fig14");
             rec.set_label("edges", edges.to_string());
-            let _record = env.run_traced(&mut timed, &mut rec);
-            recorders.push(rec);
-        } else {
-            let _record = env.run(&mut timed);
-        }
-        let alg1_ms = timed.selection_per_slot() * 1e3;
-        let alg2_ms = timed.trading_per_slot() * 1e3;
+            rec
+        });
+        let mut prof = Profiler::new();
+        let _record = env.run_with(&mut policy, rec.as_mut(), Some(&mut prof), 1);
+        recorders.extend(rec);
+        let ms_per_slot = |us: f64| us / 1e3 / env.horizon() as f64;
+        let alg1_ms =
+            ms_per_slot(prof.total_us("run/slot/select") + prof.total_us("run/slot/feedback"));
+        let alg2_ms = ms_per_slot(prof.total_us("run/slot/trade"));
         println!("{edges:>6} {alg1_ms:>18.4} {alg2_ms:>18.4}");
         rows.push(vec![edges.to_string(), fmt(alg1_ms), fmt(alg2_ms)]);
     }

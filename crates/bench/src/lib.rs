@@ -23,15 +23,12 @@ pub mod plot;
 use std::cell::Cell;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use cne_core::combos::{Combo, SelectorKind, TraderKind};
 use cne_core::runner::{evaluate_many_with, EvalOptions, EvalResult, PolicySpec};
-use cne_edgesim::policy::{Policy, SlotFeedback};
 use cne_edgesim::SimConfig;
 use cne_nn::{ModelZoo, ZooConfig};
 use cne_simdata::dataset::TaskKind;
-use cne_trading::policy::TradeContext;
 use cne_util::span::{profile_sidecar_path, Profiler};
 use cne_util::telemetry::Recorder;
 use cne_util::units::Allowances;
@@ -375,79 +372,6 @@ pub fn accuracy_figure(scale: &Scale, task: TaskKind, file: &str) {
     write_tsv(&scale.out_dir, file, &header_refs, &rows);
 }
 
-/// A [`Policy`] wrapper that accumulates the wall-clock time spent
-/// inside the wrapped policy's calls, split into the model-selection
-/// side (Algorithm 1) and the trading side (Algorithm 2) — the
-/// quantities of the paper's Fig. 14.
-pub struct TimedPolicy<P> {
-    inner: P,
-    /// Seconds spent in `select_models` + the per-edge share of
-    /// `end_of_slot`.
-    pub selection_secs: f64,
-    /// Seconds spent in `decide_trades`.
-    pub trading_secs: f64,
-    /// Number of slots timed.
-    pub slots: usize,
-}
-
-impl<P: Policy> TimedPolicy<P> {
-    /// Wraps a policy.
-    pub fn new(inner: P) -> Self {
-        Self {
-            inner,
-            selection_secs: 0.0,
-            trading_secs: 0.0,
-            slots: 0,
-        }
-    }
-
-    /// Mean per-slot time of the selection side (seconds).
-    #[must_use]
-    pub fn selection_per_slot(&self) -> f64 {
-        self.selection_secs / self.slots.max(1) as f64
-    }
-
-    /// Mean per-slot time of the trading side (seconds).
-    #[must_use]
-    pub fn trading_per_slot(&self) -> f64 {
-        self.trading_secs / self.slots.max(1) as f64
-    }
-}
-
-impl<P: Policy> Policy for TimedPolicy<P> {
-    fn select_models(&mut self, t: usize) -> Vec<usize> {
-        let start = Instant::now();
-        let out = self.inner.select_models(t);
-        self.selection_secs += start.elapsed().as_secs_f64();
-        self.slots += 1;
-        out
-    }
-
-    fn decide_trades(&mut self, t: usize, ctx: &TradeContext) -> (Allowances, Allowances) {
-        let start = Instant::now();
-        let out = self.inner.decide_trades(t, ctx);
-        self.trading_secs += start.elapsed().as_secs_f64();
-        out
-    }
-
-    fn end_of_slot(&mut self, t: usize, feedback: &SlotFeedback) {
-        // Loss feedback belongs to Algorithm 1; the trade observation
-        // to Algorithm 2 — both are cheap relative to the decide steps,
-        // so attribute the whole call to selection (dominant part).
-        let start = Instant::now();
-        self.inner.end_of_slot(t, feedback);
-        self.selection_secs += start.elapsed().as_secs_f64();
-    }
-
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn record_telemetry(&self, rec: &mut Recorder) {
-        self.inner.record_telemetry(rec);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,7 +390,7 @@ mod tests {
         let s = Scale::preset(true, PathBuf::from("/tmp/x"));
         let base = s.config(TaskKind::MnistLike, 3);
         let stretched = s.config_with_horizon(TaskKind::MnistLike, 3, base.horizon * 4);
-        stretched.validate();
+        assert_eq!(stretched.validate(), Ok(()));
         assert_eq!(stretched.horizon, base.horizon * 4);
         assert!((stretched.cap.get() - base.cap.get() * 4.0).abs() < 1e-9);
     }

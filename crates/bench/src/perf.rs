@@ -214,11 +214,9 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 /// Microseconds per slot for one fixed-placement run, plus the run's
-/// record (for the equivalence check). The run is *unprofiled* — a
-/// single stopwatch span wraps the whole loop — because the per-edge
-/// `inference`/`accounting` spans of [`Environment::run_profiled`]
-/// cost as much as the batched serve path itself and would mask the
-/// speedup being measured.
+/// record (for the equivalence check). The run itself is unprofiled:
+/// a single stopwatch span wraps the whole loop, so the entry times
+/// the serve path and nothing else.
 fn timed_serve_run(env: &Environment<'_>, model: usize) -> (f64, cne_edgesim::RunRecord) {
     let mut policy = FixedPlacement {
         model,
@@ -974,7 +972,7 @@ fn bench_e2e(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut Vec<Bench
         for _ in 0..reps {
             let mut policy = Combo::ours().build(&env, &seed.derive("alg"));
             let mut profiler = Profiler::new();
-            let _ = env.run_profiled(&mut policy, None, &mut profiler);
+            let _ = env.run_with(&mut policy, None, Some(&mut profiler), 1);
             us_per_slot.push(profiler.total_us("run") / env.horizon() as f64);
         }
         entries.push(BenchEntry {

@@ -158,6 +158,7 @@ pub(crate) fn build_config(opts: &Options) -> Result<SimConfig, String> {
         SimConfig::paper_default(opts.task, opts.edges)
     };
     cfg.faults = load_fault_scenario(opts.faults.as_deref())?;
+    cfg.validate()?;
     Ok(cfg)
 }
 

@@ -875,6 +875,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     let mut config = build_config(opts)?;
     if let Some(slots) = opts.slots {
         config.horizon = slots;
+        config.validate()?;
     }
     let zoo = build_zoo(opts);
     let scenario = config.faults.as_ref().map(|s| s.name.clone());

@@ -409,8 +409,10 @@ fn injected_crash_points_recover_bit_identically() {
     }
 }
 
-/// A fresh (non-`--resume`) start refuses to clobber a WAL directory
-/// that still holds a previous run's segments.
+/// Startup refusals: a fresh (non-`--resume`) start refuses to clobber
+/// a WAL directory that still holds a previous run's segments, and a
+/// horizon past the workload trace is one error line before any zoo
+/// training, not a panic.
 #[test]
 fn fresh_start_refuses_existing_wal() {
     let dir = temp_dir("clobber");
@@ -431,6 +433,15 @@ fn fresh_start_refuses_existing_wal() {
         stderr.contains("already holds WAL segments"),
         "missing clobber refusal in {stderr}"
     );
+
+    let output = run_to_completion(serve_cmd(&["--slots", "41"]), &[] as &[String]);
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(
+        stderr,
+        "error: horizon exceeds the workload trace (41 > 40)\n"
+    );
+    assert!(!stderr.contains("panicked") && !stderr.contains("training the"));
     std::fs::remove_dir_all(&dir).ok();
 }
 

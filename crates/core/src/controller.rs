@@ -192,21 +192,6 @@ impl Policy for ComboController {
         out.extend_from_slice(&self.last_placement);
     }
 
-    fn select_models_into_profiled(
-        &mut self,
-        t: usize,
-        profiler: &mut cne_util::span::Profiler,
-        out: &mut Vec<usize>,
-    ) {
-        for (i, sel) in self.selectors.iter_mut().enumerate() {
-            profiler.enter(sel.name());
-            self.last_placement[i] = sel.select_profiled(t, profiler);
-            profiler.exit();
-        }
-        out.clear();
-        out.extend_from_slice(&self.last_placement);
-    }
-
     fn decide_trades(&mut self, t: usize, ctx: &TradeContext) -> (Allowances, Allowances) {
         self.trader.decide(t, ctx)
     }
@@ -233,60 +218,6 @@ impl Policy for ComboController {
             self.selectors[i].observe(t, outcome.model, loss);
         }
         self.trader.observe(t, &feedback.trade);
-    }
-
-    fn select_models_profiled(
-        &mut self,
-        t: usize,
-        profiler: &mut cne_util::span::Profiler,
-    ) -> Vec<usize> {
-        for (i, sel) in self.selectors.iter_mut().enumerate() {
-            profiler.enter(sel.name());
-            self.last_placement[i] = sel.select_profiled(t, profiler);
-            profiler.exit();
-        }
-        self.last_placement.clone()
-    }
-
-    fn decide_trades_profiled(
-        &mut self,
-        t: usize,
-        ctx: &TradeContext,
-        profiler: &mut cne_util::span::Profiler,
-    ) -> (Allowances, Allowances) {
-        profiler.enter(self.trader.name());
-        let zw = self.trader.decide_profiled(t, ctx, profiler);
-        profiler.exit();
-        zw
-    }
-
-    fn end_of_slot_profiled(
-        &mut self,
-        t: usize,
-        feedback: &SlotFeedback,
-        profiler: &mut cne_util::span::Profiler,
-    ) {
-        assert_eq!(
-            feedback.edges.len(),
-            self.selectors.len(),
-            "feedback does not match the number of edges"
-        );
-        for (i, outcome) in feedback.edges.iter().enumerate() {
-            if outcome.feedback_lost {
-                self.selectors[i].observe_lost(t);
-                continue;
-            }
-            debug_assert_eq!(outcome.model, self.last_placement[i]);
-            let loss = self
-                .normalizer
-                .slot_loss(outcome.empirical_loss, outcome.compute_latency_ms);
-            profiler.enter(self.selectors[i].name());
-            self.selectors[i].observe(t, outcome.model, loss);
-            profiler.exit();
-        }
-        profiler.enter(self.trader.name());
-        self.trader.observe(t, &feedback.trade);
-        profiler.exit();
     }
 
     fn name(&self) -> String {

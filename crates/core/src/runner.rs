@@ -43,8 +43,8 @@
 //! [`EvalReport::telemetry`]).
 //!
 //! With [`EvalOptions::profile`] set, each run additionally carries a
-//! wall-clock span [`Profiler`] through
-//! [`Environment::run_profiled`](cne_edgesim::Environment::run_profiled).
+//! wall-clock span [`Profiler`] through [`Environment::run_with`],
+//! which times the `run/slot/{select,trade,serve,feedback}` stages.
 //! Timing data is inherently non-deterministic, which is exactly why it
 //! lives in this separate stream (see [`EvalReport::profiles`]) and
 //! never touches the recorders.

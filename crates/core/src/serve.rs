@@ -47,7 +47,9 @@ pub struct ServeOptions {
     pub live_monitor: bool,
     /// Carry a wall-clock stage [`Profiler`] through the hot loop so
     /// the daemon can histogram per-slot select/trade/serve/feedback
-    /// latencies. Wall-clock only — never part of the trace.
+    /// latencies. It records exactly one `slot` span and those four
+    /// stage spans per slot, at any edge-thread count — nothing per
+    /// edge. Wall-clock only — never part of the trace.
     pub stage_profiler: bool,
 }
 

@@ -11,6 +11,7 @@ use cne_faults::FaultScenario;
 use cne_nn::{ModelZoo, ZooConfig};
 use cne_simdata::dataset::TaskKind;
 use cne_simdata::workload::DiurnalWorkload;
+use cne_util::span::parse_profile_jsonl;
 use cne_util::SeedSequence;
 
 const SEED: u64 = 11;
@@ -86,6 +87,49 @@ fn served_run_matches_batch_driver() {
             outcome.telemetry.expect("telemetry on").to_jsonl_string(),
             batch_trace,
             "served trace diverged from the batch driver ({serve_mode:?})"
+        );
+    }
+}
+
+#[test]
+fn stage_profiler_times_only_the_slot_stages_at_any_edge_threads() {
+    let (zoo, cfg) = setup();
+    let arrivals = raw_arrivals(&cfg, SEED);
+    let slots = 12;
+    for edge_threads in [1, 3] {
+        let mut session = ServeSession::new(
+            cfg.clone(),
+            &zoo,
+            SEED,
+            Combo::ours(),
+            &ServeOptions {
+                edge_threads,
+                stage_profiler: true,
+                ..ServeOptions::default()
+            },
+        );
+        for t in 0..slots {
+            session.push_slot(&slot_row(&arrivals, t));
+        }
+        let profile = session.profiler().expect("stage profiler on");
+        assert_eq!(profile.open_depth(), 0);
+        let runs = parse_profile_jsonl(&profile.to_jsonl_string()).expect("valid profile");
+        let spans: Vec<(&str, u64)> = runs[0]
+            .spans
+            .iter()
+            .map(|s| (s.path.as_str(), s.count))
+            .collect();
+        assert_eq!(
+            spans,
+            [
+                "slot",
+                "slot/select",
+                "slot/trade",
+                "slot/serve",
+                "slot/feedback"
+            ]
+            .map(|path| (path, slots as u64)),
+            "edge_threads = {edge_threads}"
         );
     }
 }

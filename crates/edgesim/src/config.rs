@@ -173,33 +173,39 @@ impl SimConfig {
 
     /// Validates internal consistency.
     ///
-    /// # Panics
-    /// Panics on a degenerate configuration (zero horizon/edges,
-    /// horizon longer than the workload trace, bad sell ratio).
-    pub fn validate(&self) {
-        assert!(self.horizon > 0, "horizon must be positive");
-        assert!(self.num_edges > 0, "need at least one edge");
-        assert!(
-            self.horizon <= self.workload.total_slots(),
-            "horizon exceeds the workload trace ({} > {})",
-            self.horizon,
-            self.workload.total_slots()
-        );
-        assert!(
-            self.sell_ratio > 0.0 && self.sell_ratio <= 1.0,
-            "sell ratio must lie in (0, 1]"
-        );
-        assert!(self.loss_sample_cap > 0, "loss sample cap must be positive");
-        assert!(
-            self.switch_weight >= 0.0 && self.switch_weight.is_finite(),
-            "switch weight must be non-negative"
-        );
+    /// # Errors
+    /// Returns a one-line message naming the first problem of a
+    /// degenerate configuration (zero horizon/edges, horizon longer
+    /// than the workload trace, bad sell ratio, …).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.horizon == 0 {
+            return Err("horizon must be positive".into());
+        }
+        if self.num_edges == 0 {
+            return Err("need at least one edge".into());
+        }
+        if self.horizon > self.workload.total_slots() {
+            return Err(format!(
+                "horizon exceeds the workload trace ({} > {})",
+                self.horizon,
+                self.workload.total_slots()
+            ));
+        }
+        if !(self.sell_ratio > 0.0 && self.sell_ratio <= 1.0) {
+            return Err("sell ratio must lie in (0, 1]".into());
+        }
+        if self.loss_sample_cap == 0 {
+            return Err("loss sample cap must be positive".into());
+        }
+        if !(self.switch_weight >= 0.0 && self.switch_weight.is_finite()) {
+            return Err("switch weight must be non-negative".into());
+        }
         if let Some(scenario) = &self.faults {
             scenario
                 .validate()
-                .unwrap_or_else(|e| panic!("invalid fault scenario: {e}"));
+                .map_err(|e| format!("invalid fault scenario: {e}"))?;
         }
-        self.queueing.validate();
+        self.queueing.validate()
     }
 }
 
@@ -210,7 +216,7 @@ mod tests {
     #[test]
     fn default_is_paper_shaped() {
         let cfg = SimConfig::paper_default(TaskKind::MnistLike, 10);
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(cfg.horizon, 160);
         assert_eq!(cfg.num_edges, 10);
         assert_eq!(cfg.cap.get(), 500.0);
@@ -235,15 +241,15 @@ mod tests {
     #[test]
     fn fast_test_validates() {
         let cfg = SimConfig::fast_test(TaskKind::CifarLike);
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(cfg.horizon, 40);
     }
 
     #[test]
-    #[should_panic(expected = "horizon exceeds")]
+    #[should_panic(expected = "horizon exceeds the workload trace (1000 > 160)")]
     fn validate_catches_horizon_overrun() {
         let mut cfg = SimConfig::paper_default(TaskKind::MnistLike, 2);
         cfg.horizon = 1000;
-        cfg.validate();
+        cfg.validate().expect("invalid config");
     }
 }

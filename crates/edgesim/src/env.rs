@@ -15,6 +15,7 @@ use cne_simdata::workload::{DiurnalWorkload, WorkloadTrace};
 use cne_trading::policy::{TradeContext, TradeObservation};
 use cne_util::gate::Gate;
 use cne_util::pad::CachePadded;
+use cne_util::span::Profiler;
 use cne_util::telemetry::Recorder;
 use cne_util::units::{Allowances, Cents};
 use cne_util::SeedSequence;
@@ -389,7 +390,7 @@ impl<'a> Environment<'a> {
         seed: &SeedSequence,
         serve_mode: ServeMode,
     ) -> Self {
-        config.validate();
+        config.validate().expect("invalid simulator configuration");
         let workload_gen = DiurnalWorkload::new(config.workload);
         let workloads: Vec<WorkloadTrace> = (0..config.num_edges)
             .map(|i| workload_gen.trace(i, &seed.derive("workload")))
@@ -416,7 +417,7 @@ impl<'a> Environment<'a> {
         serve_mode: ServeMode,
         arrivals: &[Vec<u64>],
     ) -> Self {
-        config.validate();
+        config.validate().expect("invalid simulator configuration");
         assert_eq!(
             arrivals.len(),
             config.num_edges,
@@ -460,7 +461,7 @@ impl<'a> Environment<'a> {
         seed: &SeedSequence,
         serve_mode: ServeMode,
     ) -> Self {
-        config.validate();
+        config.validate().expect("invalid simulator configuration");
         let workloads: Vec<WorkloadTrace> = (0..config.num_edges)
             .map(|_| WorkloadTrace::from_counts(vec![0; config.horizon]))
             .collect();
@@ -480,7 +481,7 @@ impl<'a> Environment<'a> {
         mut workloads: Vec<WorkloadTrace>,
         streaming: bool,
     ) -> Self {
-        config.validate();
+        config.validate().expect("invalid simulator configuration");
         assert_eq!(
             config.task,
             zoo.kind(),
@@ -868,8 +869,8 @@ impl<'a> Environment<'a> {
     /// with the same policy state — tracing only observes the run —
     /// and every recorded quantity is deterministic in
     /// `(seed, config, policy)`. Wall-clock timing lives in the
-    /// separate profile stream of [`Self::run_profiled`], never here,
-    /// so trace files stay bit-identical across thread counts and
+    /// separate profile stream of [`Self::run_with`], never here, so
+    /// trace files stay bit-identical across thread counts and
     /// machines.
     ///
     /// # Panics
@@ -880,25 +881,6 @@ impl<'a> Environment<'a> {
         telemetry: &mut cne_util::telemetry::Recorder,
     ) -> RunRecord {
         self.run_impl(policy, Some(telemetry), None)
-    }
-
-    /// Runs a policy while profiling wall-clock time into a span tree
-    /// (run → slot → select / trade / serve / feedback, with
-    /// `inference` and `accounting` children under `serve`), optionally
-    /// recording deterministic telemetry at the same time.
-    ///
-    /// Profiling only observes the run: the returned [`RunRecord`] and
-    /// any telemetry written are bit-identical to the unprofiled run.
-    ///
-    /// # Panics
-    /// Panics if the policy returns a malformed placement vector.
-    pub fn run_profiled(
-        &self,
-        policy: &mut dyn Policy,
-        telemetry: Option<&mut cne_util::telemetry::Recorder>,
-        profiler: &mut cne_util::span::Profiler,
-    ) -> RunRecord {
-        self.run_impl(policy, telemetry, Some(profiler))
     }
 
     /// Runs a policy with every instrumentation option explicit,
@@ -923,11 +905,14 @@ impl<'a> Environment<'a> {
     /// `end_of_slot` on the driver; only the serve/accounting loop is
     /// sharded.
     ///
-    /// When a profiler is supplied on a parallel run, only the coarse
-    /// `run` and `slot` spans are recorded (per-edge spans would need
-    /// cross-thread clocks); the sequential path keeps the full span
-    /// tree. With a batch window the first slot span of each window
-    /// carries the window's serve wait; the rest time only their drain.
+    /// A supplied profiler records wall-clock stage spans only:
+    /// `run` → `slot` → `select` / `trade` / `serve` / `feedback` on
+    /// the sequential path, never anything per edge. Profiling only
+    /// observes the run: the record and any telemetry are bit-identical
+    /// to the unprofiled run. A parallel run records only the coarse
+    /// `run` and `slot` spans; with a batch window the first slot span
+    /// of each window carries the window's serve wait, the rest time
+    /// only their drain.
     ///
     /// Parallel runs batch [`DEFAULT_GATE_BATCH`] slots per epoch-gate
     /// round trip; use [`Environment::run_with_batch`] to pick the
@@ -941,7 +926,7 @@ impl<'a> Environment<'a> {
         &self,
         policy: &mut dyn Policy,
         telemetry: Option<&mut cne_util::telemetry::Recorder>,
-        profiler: Option<&mut cne_util::span::Profiler>,
+        profiler: Option<&mut Profiler>,
         edge_threads: usize,
     ) -> RunRecord {
         self.run_with_batch(
@@ -975,7 +960,7 @@ impl<'a> Environment<'a> {
         &self,
         policy: &mut dyn Policy,
         telemetry: Option<&mut cne_util::telemetry::Recorder>,
-        profiler: Option<&mut cne_util::span::Profiler>,
+        profiler: Option<&mut Profiler>,
         edge_threads: usize,
         gate_batch: usize,
     ) -> RunRecord {
@@ -1122,12 +1107,10 @@ impl<'a> Environment<'a> {
         &self,
         policy: &mut dyn Policy,
         mut telemetry: Option<&mut cne_util::telemetry::Recorder>,
-        mut profiler: Option<&mut cne_util::span::Profiler>,
+        mut profiler: Option<&mut Profiler>,
     ) -> RunRecord {
         let mut stepper = self.stepper(1);
-        if let Some(p) = profiler.as_deref_mut() {
-            p.enter("run");
-        }
+        span_enter(&mut profiler, "run");
         for _ in 0..self.config.horizon {
             stepper.step(
                 self,
@@ -1136,9 +1119,7 @@ impl<'a> Environment<'a> {
                 profiler.as_deref_mut(),
             );
         }
-        if let Some(p) = profiler {
-            p.exit(); // run
-        }
+        span_exit(&mut profiler); // run
         stepper.finish(self, policy, telemetry)
     }
 
@@ -1179,7 +1160,7 @@ impl<'a> Environment<'a> {
         &self,
         policy: &mut dyn Policy,
         mut telemetry: Option<&mut cne_util::telemetry::Recorder>,
-        mut profiler: Option<&mut cne_util::span::Profiler>,
+        mut profiler: Option<&mut Profiler>,
         num_lanes: usize,
         gate_batch: usize,
     ) -> RunRecord {
@@ -1236,9 +1217,7 @@ impl<'a> Environment<'a> {
             .as_ref()
             .map(|s| TradeCarry::new(s.scenario().backoff()));
 
-        if let Some(p) = profiler.as_deref_mut() {
-            p.enter("run");
-        }
+        span_enter(&mut profiler, "run");
         let lane_results = std::thread::scope(|scope| {
             // If the driver unwinds (policy panic, malformed
             // placement), wake every parked worker so the scope can
@@ -1303,9 +1282,7 @@ impl<'a> Environment<'a> {
             for win in 0..num_windows {
                 let base = win * window;
                 let len = window.min(cfg.horizon - base);
-                if let Some(p) = profiler.as_deref_mut() {
-                    p.enter("slot");
-                }
+                span_enter(&mut profiler, "slot");
                 if !sharded {
                     // Driver-fed selection: window == 1, slot `base`.
                     policy.select_models_into(base, &mut placements);
@@ -1368,9 +1345,7 @@ impl<'a> Environment<'a> {
 
                 for (off, t) in (base..base + len).enumerate() {
                     if off > 0 {
-                        if let Some(p) = profiler.as_deref_mut() {
-                            p.enter("slot");
-                        }
+                        span_enter(&mut profiler, "slot");
                     }
                     let (ctx, receipt) = match first_trade.take() {
                         Some(first) => first,
@@ -1422,9 +1397,7 @@ impl<'a> Environment<'a> {
                     outcomes.clear();
                     partials.clear();
                     slots.push(record);
-                    if let Some(p) = profiler.as_deref_mut() {
-                        p.exit(); // slot
-                    }
+                    span_exit(&mut profiler); // slot
                 }
 
                 // Hand the emptied buffers back for reuse.
@@ -1455,9 +1428,7 @@ impl<'a> Environment<'a> {
         if sharded {
             policy.absorb_shards(returned_shards);
         }
-        if let Some(p) = profiler {
-            p.exit(); // run
-        }
+        span_exit(&mut profiler); // run
         self.finish_run(
             policy,
             ledger,
@@ -1532,7 +1503,6 @@ impl<'a> Environment<'a> {
                     lane,
                     &placements,
                     &mut sink,
-                    None,
                     &mut slot_mail.outcomes,
                     &mut slot_mail.partials,
                 );
@@ -1615,14 +1585,12 @@ impl<'a> Environment<'a> {
     /// calls [`Self::serve_edge`] with a constant `None`/`Some`
     /// schedule, so after inlining the fault-free arm carries no
     /// per-edge fault checks at all.
-    #[allow(clippy::too_many_arguments)]
     fn serve_chunk(
         &self,
         t: usize,
         lanes: &mut EdgeLanes,
         placements: &[usize],
         sink: &mut TeleSink,
-        mut profiler: Option<&mut cne_util::span::Profiler>,
         outcomes: &mut Vec<EdgeSlotOutcome>,
         partials: &mut Vec<EdgePartial>,
     ) {
@@ -1630,30 +1598,15 @@ impl<'a> Environment<'a> {
         match self.faults.as_ref() {
             None => {
                 for (k, &placement) in placements.iter().enumerate() {
-                    let (outcome, partial) = self.serve_edge(
-                        t,
-                        lanes,
-                        k,
-                        placement,
-                        None,
-                        sink,
-                        profiler.as_deref_mut(),
-                    );
+                    let (outcome, partial) = self.serve_edge(t, lanes, k, placement, None, sink);
                     outcomes.push(outcome);
                     partials.push(partial);
                 }
             }
             Some(schedule) => {
                 for (k, &placement) in placements.iter().enumerate() {
-                    let (outcome, partial) = self.serve_edge(
-                        t,
-                        lanes,
-                        k,
-                        placement,
-                        Some(schedule),
-                        sink,
-                        profiler.as_deref_mut(),
-                    );
+                    let (outcome, partial) =
+                        self.serve_edge(t, lanes, k, placement, Some(schedule), sink);
                     outcomes.push(outcome);
                     partials.push(partial);
                 }
@@ -1667,7 +1620,6 @@ impl<'a> Environment<'a> {
     /// emissions in edge-index order during [`Self::reduce_slot`], so
     /// the ledger sees the same sequence at every worker count.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     fn serve_edge(
         &self,
         t: usize,
@@ -1676,7 +1628,6 @@ impl<'a> Environment<'a> {
         desired: usize,
         schedule: Option<&FaultSchedule>,
         sink: &mut TeleSink,
-        mut profiler: Option<&mut cne_util::span::Profiler>,
     ) -> (EdgeSlotOutcome, EdgePartial) {
         let cfg = &self.config;
         let i = lanes.global_index(k);
@@ -1745,9 +1696,6 @@ impl<'a> Environment<'a> {
         }
         lanes.count_selection(k, n);
 
-        if let Some(p) = profiler.as_deref_mut() {
-            p.enter("inference");
-        }
         let arrivals = self.workloads[i].arrivals(t);
         let effective = self.effective_table(n, t);
         let (empirical_loss, accuracy) = match self.serve_mode {
@@ -1769,10 +1717,6 @@ impl<'a> Environment<'a> {
         let utilization = cfg.queueing.utilization(requests, self.latencies[i][n]);
         let queueing_delay_ms = cfg.queueing.mean_wait_ms(requests, self.latencies[i][n]);
         lanes.observe_utilization(k, (utilization * 1e6) as u64);
-        if let Some(p) = profiler.as_deref_mut() {
-            p.exit(); // inference
-            p.enter("accounting");
-        }
 
         let profile = &self.zoo.model(n).profile;
         let emissions = cfg.emission.slot_emissions(
@@ -1782,9 +1726,6 @@ impl<'a> Environment<'a> {
             self.topology.transfer_energy(i),
             profile.size,
         );
-        if let Some(p) = profiler {
-            p.exit(); // accounting
-        }
 
         let partial = EdgePartial {
             loss_cost: self.expected_losses[effective] * cfg.weights.loss,
@@ -1997,6 +1938,20 @@ struct LaneScratch {
     tele: Vec<TeleOp>,
 }
 
+/// Opens span `name` when the run is profiled.
+fn span_enter(profiler: &mut Option<&mut Profiler>, name: &str) {
+    if let Some(p) = profiler.as_deref_mut() {
+        p.enter(name);
+    }
+}
+
+/// Closes the innermost open span when the run is profiled.
+fn span_exit(profiler: &mut Option<&mut Profiler>) {
+    if let Some(p) = profiler.as_deref_mut() {
+        p.exit();
+    }
+}
+
 impl RunStepper {
     /// The next slot [`RunStepper::step`] will run (equivalently: how
     /// many slots have been stepped so far).
@@ -2021,6 +1976,10 @@ impl RunStepper {
     /// feedback — against `env`, which must be the environment the
     /// stepper was created from.
     ///
+    /// A supplied profiler gets exactly one `slot` span with the
+    /// `select`, `trade`, `serve` and `feedback` stage spans under it,
+    /// at every lane count.
+    ///
     /// # Panics
     /// Panics past the horizon, on a streaming environment whose next
     /// slot has not been ingested yet, or if the policy returns a
@@ -2030,7 +1989,7 @@ impl RunStepper {
         env: &Environment,
         policy: &mut dyn Policy,
         mut telemetry: Option<&mut Recorder>,
-        mut profiler: Option<&mut cne_util::span::Profiler>,
+        mut profiler: Option<&mut Profiler>,
     ) {
         let cfg = &env.config;
         let t = self.next_slot;
@@ -2039,18 +1998,11 @@ impl RunStepper {
             !env.streaming || t < env.ingested,
             "slot {t} has not been ingested yet"
         );
-        if let Some(p) = profiler.as_deref_mut() {
-            p.enter("slot");
-        }
+        span_enter(&mut profiler, "slot");
         // Step 1: model selection and (possible) download.
-        match profiler.as_deref_mut() {
-            Some(p) => {
-                p.enter("select");
-                policy.select_models_into_profiled(t, p, &mut self.placements);
-                p.exit();
-            }
-            None => policy.select_models_into(t, &mut self.placements),
-        };
+        span_enter(&mut profiler, "select");
+        policy.select_models_into(t, &mut self.placements);
+        span_exit(&mut profiler);
         assert_eq!(
             self.placements.len(),
             cfg.num_edges,
@@ -2062,15 +2014,9 @@ impl RunStepper {
 
         // Carbon trading (Algorithm 2 decides using history only).
         let ctx = env.trade_context(t, self.cap_share);
-        let (z, w) = match profiler.as_deref_mut() {
-            Some(p) => {
-                p.enter("trade");
-                let zw = policy.decide_trades_profiled(t, &ctx, p);
-                p.exit();
-                zw
-            }
-            None => policy.decide_trades(t, &ctx),
-        };
+        span_enter(&mut profiler, "trade");
+        let (z, w) = policy.decide_trades(t, &ctx);
+        span_exit(&mut profiler);
         let receipt = env.execute_trade(
             t,
             &ctx,
@@ -2082,9 +2028,7 @@ impl RunStepper {
         );
 
         // Steps 2–3: serve the streams and account energy/carbon.
-        if let Some(p) = profiler.as_deref_mut() {
-            p.enter("serve");
-        }
+        span_enter(&mut profiler, "serve");
         if self.lanes.len() == 1 {
             let mut sink = match telemetry.as_deref_mut() {
                 Some(rec) => TeleSink::Direct(rec),
@@ -2095,16 +2039,13 @@ impl RunStepper {
                 &mut self.lanes[0],
                 &self.placements,
                 &mut sink,
-                profiler.as_deref_mut(),
                 &mut self.outcomes,
                 &mut self.partials,
             );
         } else {
             self.serve_sharded(env, t, telemetry);
         }
-        if let Some(p) = profiler.as_deref_mut() {
-            p.exit(); // serve
-        }
+        span_exit(&mut profiler); // serve
 
         let (record, observation) = env.reduce_slot(
             t,
@@ -2119,15 +2060,10 @@ impl RunStepper {
             edges: std::mem::take(&mut self.outcomes),
             trade: observation,
         };
-        match profiler {
-            Some(p) => {
-                p.enter("feedback");
-                policy.end_of_slot_profiled(t, &feedback, p);
-                p.exit();
-                p.exit(); // slot
-            }
-            None => policy.end_of_slot(t, &feedback),
-        }
+        span_enter(&mut profiler, "feedback");
+        policy.end_of_slot(t, &feedback);
+        span_exit(&mut profiler);
+        span_exit(&mut profiler); // slot
         self.slots.push(record);
         // Reclaim the outcome buffer from the feedback for the next
         // slot (the policy only borrowed it).
@@ -2178,7 +2114,6 @@ impl RunStepper {
                         lane,
                         chunk,
                         &mut sink,
-                        None,
                         &mut scratch.outcomes,
                         &mut scratch.partials,
                     );
@@ -2196,7 +2131,6 @@ impl RunStepper {
                 first_lane,
                 chunk,
                 &mut sink,
-                None,
                 &mut scratch.outcomes,
                 &mut scratch.partials,
             );
@@ -2428,6 +2362,16 @@ mod tests {
         }
     }
 
+    /// Every span path of a profile with its entry count, depth-first.
+    pub(super) fn span_counts(prof: &Profiler) -> Vec<(String, u64)> {
+        let runs = cne_util::span::parse_profile_jsonl(&prof.to_jsonl_string()).expect("valid");
+        runs[0]
+            .spans
+            .iter()
+            .map(|s| (s.path.clone(), s.count))
+            .collect()
+    }
+
     fn test_env(zoo: &ModelZoo) -> Environment<'_> {
         Environment::new(
             SimConfig::fast_test(TaskKind::MnistLike),
@@ -2490,8 +2434,8 @@ mod tests {
         let mut rec_plain = cne_util::telemetry::Recorder::new();
         let plain = env.run_traced(&mut Static(1), &mut rec_plain);
         let mut rec_prof = cne_util::telemetry::Recorder::new();
-        let mut prof = cne_util::span::Profiler::new();
-        let profiled = env.run_profiled(&mut Static(1), Some(&mut rec_prof), &mut prof);
+        let mut prof = Profiler::new();
+        let profiled = env.run_with(&mut Static(1), Some(&mut rec_prof), Some(&mut prof), 1);
         assert_eq!(plain, profiled);
         assert_eq!(
             rec_plain.to_jsonl_string(),
@@ -2499,13 +2443,19 @@ mod tests {
             "profiling must not perturb the deterministic trace"
         );
         assert_eq!(prof.open_depth(), 0);
-        assert_eq!(prof.count("run"), 1);
-        assert_eq!(prof.count("run/slot"), 40);
-        assert_eq!(prof.count("run/slot/select"), 40);
-        assert_eq!(prof.count("run/slot/trade"), 40);
-        assert_eq!(prof.count("run/slot/serve/inference"), 40 * 3);
-        assert_eq!(prof.count("run/slot/serve/accounting"), 40 * 3);
-        assert_eq!(prof.count("run/slot/feedback"), 40);
+        // Stage spans only: nothing per edge or inside the policy.
+        assert_eq!(
+            span_counts(&prof),
+            [
+                ("run", 1),
+                ("run/slot", 40),
+                ("run/slot/select", 40),
+                ("run/slot/trade", 40),
+                ("run/slot/serve", 40),
+                ("run/slot/feedback", 40),
+            ]
+            .map(|(path, n)| (path.to_owned(), n))
+        );
     }
 
     #[test]
@@ -2954,7 +2904,7 @@ mod parallel_tests {
         let mut rec_seq = Recorder::new();
         let sequential = env.run_with(&mut Churner, Some(&mut rec_seq), None, 1);
         let mut rec_par = Recorder::new();
-        let mut prof = cne_util::span::Profiler::new();
+        let mut prof = Profiler::new();
         let parallel = env.run_with(&mut Churner, Some(&mut rec_par), Some(&mut prof), 2);
         assert_eq!(sequential, parallel);
         assert_eq!(rec_seq.to_jsonl_string(), rec_par.to_jsonl_string());
@@ -2962,9 +2912,10 @@ mod parallel_tests {
         // only): per-stage spans would have to come off the worker
         // threads, where they could not nest into one driver timeline.
         assert_eq!(prof.open_depth(), 0);
-        assert_eq!(prof.count("run"), 1);
-        assert_eq!(prof.count("run/slot"), 40);
-        assert_eq!(prof.count("run/slot/serve/inference"), 0);
+        assert_eq!(
+            super::tests::span_counts(&prof),
+            [("run".to_owned(), 1), ("run/slot".to_owned(), 40)]
+        );
     }
 
     /// Per-edge cumulative-loss state a shard can carry away.

@@ -3,7 +3,6 @@
 use std::any::Any;
 
 use cne_trading::policy::{TradeContext, TradeObservation};
-use cne_util::span::Profiler;
 use cne_util::telemetry::Recorder;
 use cne_util::units::{Allowances, GramsCo2};
 
@@ -68,6 +67,11 @@ impl SlotFeedback {
 /// Call order per slot `t`: [`select_models`](Self::select_models) →
 /// [`decide_trades`](Self::decide_trades) →
 /// [`end_of_slot`](Self::end_of_slot).
+///
+/// Policies never see a profiler. A profiled run times each of these
+/// three calls as one whole stage span (`select`, `trade`,
+/// `feedback`); finer costs are measured by the micro-benchmarks in
+/// `cne-bench`'s `perf` module instead.
 pub trait Policy {
     /// Returns the model to host on each edge during slot `t`
     /// (`placements[i] = n` ⇒ `x_{i,n}^t = 1`).
@@ -79,15 +83,6 @@ pub trait Policy {
     /// Receives the realized slot outcome.
     fn end_of_slot(&mut self, t: usize, feedback: &SlotFeedback);
 
-    /// As [`select_models`](Self::select_models), with a wall-clock
-    /// span profiler open on the `select` stage. The default ignores
-    /// the profiler; composite policies override it to time their
-    /// per-edge selectors as child spans.
-    fn select_models_profiled(&mut self, t: usize, profiler: &mut Profiler) -> Vec<usize> {
-        let _ = profiler;
-        self.select_models(t)
-    }
-
     /// As [`select_models`](Self::select_models), but writes the
     /// placement into a caller-owned buffer so the simulator's slot
     /// loop can reuse one allocation across the horizon. The default
@@ -98,38 +93,6 @@ pub trait Policy {
         let placements = self.select_models(t);
         out.clear();
         out.extend_from_slice(&placements);
-    }
-
-    /// As [`select_models_into`](Self::select_models_into), with a
-    /// wall-clock span profiler open on the `select` stage.
-    fn select_models_into_profiled(
-        &mut self,
-        t: usize,
-        profiler: &mut Profiler,
-        out: &mut Vec<usize>,
-    ) {
-        let placements = self.select_models_profiled(t, profiler);
-        out.clear();
-        out.extend_from_slice(&placements);
-    }
-
-    /// As [`decide_trades`](Self::decide_trades), with a profiler open
-    /// on the `trade` stage.
-    fn decide_trades_profiled(
-        &mut self,
-        t: usize,
-        ctx: &TradeContext,
-        profiler: &mut Profiler,
-    ) -> (Allowances, Allowances) {
-        let _ = profiler;
-        self.decide_trades(t, ctx)
-    }
-
-    /// As [`end_of_slot`](Self::end_of_slot), with a profiler open on
-    /// the `feedback` stage.
-    fn end_of_slot_profiled(&mut self, t: usize, feedback: &SlotFeedback, profiler: &mut Profiler) {
-        let _ = profiler;
-        self.end_of_slot(t, feedback);
     }
 
     /// Display name, e.g. `"Ours"` or `"UCB-LY"`.

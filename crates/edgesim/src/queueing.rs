@@ -44,14 +44,16 @@ impl Default for QueueingConfig {
 impl QueueingConfig {
     /// Validates the configuration.
     ///
-    /// # Panics
-    /// Panics on zero servers or a non-positive slot length.
-    pub fn validate(&self) {
-        assert!(self.servers_per_edge > 0, "need at least one server");
-        assert!(
-            self.slot_ms > 0.0 && self.slot_ms.is_finite(),
-            "slot length must be positive"
-        );
+    /// # Errors
+    /// Returns a message on zero servers or a non-positive slot length.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.servers_per_edge == 0 {
+            return Err("need at least one server".into());
+        }
+        if !(self.slot_ms > 0.0 && self.slot_ms.is_finite()) {
+            return Err("slot length must be positive".into());
+        }
+        Ok(())
     }
 
     /// Offered utilization `ρ = λ·S / c` of one slot: `requests`
@@ -161,12 +163,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "server")]
+    #[should_panic(expected = "need at least one server")]
     fn zero_servers_rejected() {
         QueueingConfig {
             servers_per_edge: 0,
             slot_ms: 1.0,
         }
-        .validate();
+        .validate()
+        .expect("invalid config");
     }
 }

@@ -67,19 +67,6 @@ pub trait TradingPolicy {
     /// market to the bounds in `ctx`).
     fn decide(&mut self, t: usize, ctx: &TradeContext) -> (Allowances, Allowances);
 
-    /// As [`decide`](Self::decide), with a wall-clock span profiler
-    /// open on this policy's span. The default ignores the profiler;
-    /// policies with distinct internal phases override it.
-    fn decide_profiled(
-        &mut self,
-        t: usize,
-        ctx: &TradeContext,
-        profiler: &mut cne_util::span::Profiler,
-    ) -> (Allowances, Allowances) {
-        let _ = profiler;
-        self.decide(t, ctx)
-    }
-
     /// Reports the realized outcome of slot `t`.
     fn observe(&mut self, t: usize, obs: &TradeObservation);
 

@@ -181,9 +181,9 @@ impl PrimalDual {
     }
 }
 
-impl PrimalDual {
+impl TradingPolicy for PrimalDual {
     /// The rectified proximal primal step (eq. (4)'s closed form).
-    fn primal_step(&mut self, ctx: &TradeContext) -> (Allowances, Allowances) {
+    fn decide(&mut self, _t: usize, ctx: &TradeContext) -> (Allowances, Allowances) {
         let (z, w) = match (self.prev_buy_price, self.prev_sell_price) {
             // First slot: no history yet, stay at Z̄⁰.
             (None, _) | (_, None) => (self.z_prev, self.w_prev),
@@ -198,24 +198,6 @@ impl PrimalDual {
         self.z_prev = z;
         self.w_prev = w;
         (Allowances::new(z), Allowances::new(w))
-    }
-}
-
-impl TradingPolicy for PrimalDual {
-    fn decide(&mut self, _t: usize, ctx: &TradeContext) -> (Allowances, Allowances) {
-        self.primal_step(ctx)
-    }
-
-    fn decide_profiled(
-        &mut self,
-        _t: usize,
-        ctx: &TradeContext,
-        profiler: &mut cne_util::span::Profiler,
-    ) -> (Allowances, Allowances) {
-        profiler.enter("primal_step");
-        let zw = self.primal_step(ctx);
-        profiler.exit();
-        zw
     }
 
     fn observe(&mut self, t: usize, obs: &TradeObservation) {
