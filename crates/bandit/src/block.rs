@@ -205,6 +205,10 @@ impl ModelSelector for BlockTsallisInf {
         self.num_arms
     }
 
+    fn next_slot(&self) -> Option<usize> {
+        Some(self.next_slot)
+    }
+
     fn name(&self) -> &'static str {
         self.name
     }

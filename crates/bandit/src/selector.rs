@@ -13,10 +13,9 @@ use cne_util::telemetry::Recorder;
 /// Implementations own their randomness (seeded at construction), so a
 /// selector is deterministic given its seed and the observed losses.
 ///
-/// Selectors are `Send` so a run can move each edge's selector onto
-/// the worker thread that owns that edge's shard (see the edge-sharded
-/// parallel path in `cne-edgesim`). They are driven by exactly one
-/// thread at a time, so `Sync` is not required.
+/// Selectors are `Send` so a controller built on one thread can be
+/// driven on another. They are driven by exactly one thread at a time,
+/// so `Sync` is not required.
 pub trait ModelSelector: Send {
     /// Returns the arm (model index) to host during slot `t`.
     ///
@@ -41,6 +40,15 @@ pub trait ModelSelector: Send {
 
     /// Number of arms `N`.
     fn num_arms(&self) -> usize;
+
+    /// The slot the selector expects to [`select`](Self::select) next,
+    /// for selectors that track it. A resumed run checks it against
+    /// the checkpoint's slot, since a disagreement would otherwise
+    /// surface as a panic on the first slot served. The default
+    /// (selectors that keep no slot counter) is `None`.
+    fn next_slot(&self) -> Option<usize> {
+        None
+    }
 
     /// Short display name (used in figure legends).
     fn name(&self) -> &'static str;

@@ -42,7 +42,7 @@ fn main() {
             rec
         });
         let mut prof = Profiler::new();
-        let _record = env.run_with(&mut policy, rec.as_mut(), Some(&mut prof), 1);
+        let _record = env.run_with(&mut policy, rec.as_mut(), Some(&mut prof));
         recorders.extend(rec);
         let ms_per_slot = |us: f64| us / 1e3 / env.horizon() as f64;
         let alg1_ms =

@@ -54,11 +54,6 @@ pub struct Scale {
     /// Worker threads for the multi-seed driver (`--threads`; `None`
     /// defers to `CARBON_EDGE_THREADS`, then machine parallelism).
     pub threads: Option<usize>,
-    /// Edge-shard workers inside each run's serve/select loop
-    /// (`--edge-threads`; `None` defers to
-    /// `CARBON_EDGE_EDGE_THREADS`, then 1). Bit-identical at any
-    /// count.
-    pub edge_threads: Option<usize>,
     /// JSONL telemetry sink (`--telemetry <file>`), shared by every
     /// [`Scale::evaluate_grid`] call of the binary.
     pub telemetry: Option<PathBuf>,
@@ -99,11 +94,6 @@ impl Scale {
             assert!(n >= 1, "--threads must be at least 1");
             n
         });
-        scale.edge_threads = value_of("--edge-threads").map(|v| {
-            let n: usize = v.parse().expect("--edge-threads takes a positive integer");
-            assert!(n >= 1, "--edge-threads must be at least 1");
-            n
-        });
         scale.telemetry = value_of("--telemetry").map(PathBuf::from);
         scale.profile = value_of("--profile").map(PathBuf::from).or_else(|| {
             scale
@@ -127,7 +117,6 @@ impl Scale {
                 horizon_sweep: vec![40, 80],
                 out_dir,
                 threads: None,
-                edge_threads: None,
                 telemetry: None,
                 profile: None,
                 telemetry_started: Cell::new(false),
@@ -143,7 +132,6 @@ impl Scale {
                 horizon_sweep: vec![40, 80, 160, 320, 640],
                 out_dir,
                 threads: None,
-                edge_threads: None,
                 telemetry: None,
                 profile: None,
                 telemetry_started: Cell::new(false),
@@ -157,7 +145,6 @@ impl Scale {
     pub fn eval_options(&self) -> EvalOptions {
         EvalOptions {
             threads: self.threads,
-            edge_threads: self.edge_threads,
             telemetry: self.telemetry.is_some(),
             profile: self.profile.is_some(),
             ..EvalOptions::default()

@@ -972,7 +972,7 @@ fn bench_e2e(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut Vec<Bench
         for _ in 0..reps {
             let mut policy = Combo::ours().build(&env, &seed.derive("alg"));
             let mut profiler = Profiler::new();
-            let _ = env.run_with(&mut policy, None, Some(&mut profiler), 1);
+            let _ = env.run_with(&mut policy, None, Some(&mut profiler));
             us_per_slot.push(profiler.total_us("run") / env.horizon() as f64);
         }
         entries.push(BenchEntry {
@@ -986,35 +986,17 @@ fn bench_e2e(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut Vec<Bench
     }
 }
 
-/// Intra-run edge-sharded parallelism: `Ours` over a fleet-size grid
-/// from the paper's largest setting (50 edges) up to three orders of
-/// magnitude beyond it (50 000 edges), timed at 1/2/4 edge workers
-/// with the amortized epoch-gate batch window.
-///
-/// Before any timing, one *traced* run per worker count is
-/// byte-compared against the sequential run (records and telemetry
-/// traces) — the speedup is only worth reporting if the parallel path
-/// is bit-identical. The byte comparison runs at the two smallest
-/// sizes only (a 50 000-edge trace is gigabytes; the equivalence tests
-/// and the `parallel-scale-smoke` CI job cover large fleets). The
-/// timed runs are untraced and unprofiled, a single stopwatch around
-/// the whole horizon, mirroring [`timed_serve_run`].
-///
-/// Every size gets its own `speedup` entry. The absolute floors
-/// (1.0× at 50 edges — parallelism must at least break even on the
-/// paper's own scale — and 1.8× at 500+) arm only when the machine
-/// actually has ≥ 4 cores; on smaller machines the ratio is still
-/// recorded (`bench-check` also honours the floor carried by the
-/// *current* run, so a multi-core CI run gates itself even against a
-/// small-machine baseline, and warns loudly when a speedup gate stays
-/// disarmed on both sides).
+/// The sequential engine at fleet scale: `Ours` over a fleet-size
+/// grid from the paper's largest setting (50 edges) up to three orders
+/// of magnitude beyond it (50 000 edges). The runs are untraced and
+/// unprofiled, a single stopwatch around the whole horizon, mirroring
+/// [`timed_serve_run`]. The entries keep their historical
+/// `edge_parallel/…/threads=1` names so committed baselines stay
+/// comparable; the sharded serve path is measured end to end by
+/// `bench_daemon` (`engine.speedup_2w`).
 fn bench_edge_parallel(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut Vec<BenchEntry>) {
     const EDGE_GRID: [usize; 4] = [50, 500, 5_000, 50_000];
-    const TRACED_SIZES: usize = 2;
-    const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-
-    for (size_idx, &edges) in EDGE_GRID.iter().enumerate() {
+    for &edges in &EDGE_GRID {
         let config = scale.config(TaskKind::MnistLike, edges);
         let seed = SeedSequence::new(7);
         let env = Environment::new(config, zoo, &seed.derive("env"));
@@ -1022,72 +1004,24 @@ fn bench_edge_parallel(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut
         // fewer reps buy the same stability — and keep the grid's total
         // wall-clock dominated by measurement, not repetition.
         let reps = if edges >= 5_000 { reps.min(2) } else { reps };
-
-        if size_idx < TRACED_SIZES {
-            let traced = |edge_threads: usize| {
-                let mut policy = Combo::ours().build(&env, &seed.derive("alg"));
-                let mut rec = Recorder::new();
-                let record = env.run_with(&mut policy, Some(&mut rec), None, edge_threads);
-                (record, rec.to_jsonl_string())
-            };
-            let (base_record, base_trace) = traced(THREAD_COUNTS[0]);
-            let identical = THREAD_COUNTS[1..].iter().all(|&edge_threads| {
-                let (record, trace) = traced(edge_threads);
-                record == base_record && trace == base_trace
-            });
-            entries.push(BenchEntry {
-                name: format!("edge_parallel/identical/edges={edges}"),
-                metric: "bool".to_owned(),
-                value: if identical { 1.0 } else { 0.0 },
-                better: "higher",
-                gate: false,
-                min: Some(1.0),
-            });
-        }
-
-        let mut medians = Vec::with_capacity(THREAD_COUNTS.len());
-        for &edge_threads in &THREAD_COUNTS {
-            let mut us_per_slot = Vec::with_capacity(reps);
-            for _ in 0..reps {
-                let mut policy = Combo::ours().build(&env, &seed.derive("alg"));
-                let mut stopwatch = Profiler::new();
-                stopwatch.enter("run");
-                let _ = env.run_with(&mut policy, None, None, edge_threads);
-                stopwatch.exit();
-                us_per_slot.push(stopwatch.total_us("run") / env.horizon() as f64);
-            }
-            let value = median(us_per_slot);
-            medians.push(value);
-            entries.push(BenchEntry {
-                name: format!("edge_parallel/ours/edges={edges}/threads={edge_threads}"),
-                metric: "us_per_slot".to_owned(),
-                value,
-                better: "lower",
-                // Only the sequential point is machine-comparable
-                // enough to gate against a committed baseline; the
-                // parallel points depend on the core count and are
-                // gated via the ratio.
-                gate: edge_threads == 1,
-                min: None,
-            });
+        let mut us_per_slot = Vec::with_capacity(reps);
+        for _ in 0..reps {
+            let mut policy = Combo::ours().build(&env, &seed.derive("alg"));
+            let mut stopwatch = Profiler::new();
+            stopwatch.enter("run");
+            let _ = env.run(&mut policy);
+            stopwatch.exit();
+            us_per_slot.push(stopwatch.total_us("run") / env.horizon() as f64);
         }
         entries.push(BenchEntry {
-            name: format!("edge_parallel/speedup/edges={edges}"),
-            metric: "ratio".to_owned(),
-            value: medians[0] / medians[THREAD_COUNTS.len() - 1],
-            better: "higher",
-            gate: false,
-            min: (cores >= 4).then_some(if edges >= 500 { 1.8 } else { 1.0 }),
+            name: format!("edge_parallel/ours/edges={edges}/threads=1"),
+            metric: "us_per_slot".to_owned(),
+            value: median(us_per_slot),
+            better: "lower",
+            gate: true,
+            min: None,
         });
     }
-    entries.push(BenchEntry {
-        name: "edge_parallel/cores".to_owned(),
-        metric: "count".to_owned(),
-        value: cores as f64,
-        better: "higher",
-        gate: false,
-        min: None,
-    });
 }
 
 /// Runs the whole benchmark suite at the given scale and writes

@@ -31,9 +31,8 @@ pub struct Options {
     /// Worker threads for the multi-seed driver (`None` defers to
     /// `CARBON_EDGE_THREADS`, then to the machine's parallelism).
     pub threads: Option<usize>,
-    /// Edge-shard workers inside each run's serve/select loop (`None`
-    /// defers to `CARBON_EDGE_EDGE_THREADS`, then to 1). Results are
-    /// bit-identical at every count.
+    /// `serve`: edge lanes for each slot's serve phase (`None` = 1).
+    /// Results are bit-identical at every count.
     pub edge_threads: Option<usize>,
     /// Optional JSONL path for per-run telemetry traces.
     pub telemetry: Option<String>,

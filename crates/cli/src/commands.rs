@@ -46,12 +46,9 @@ FLAGS:
   --threads N           worker threads for seed runs (default: the
                         CARBON_EDGE_THREADS env var, else all cores;
                         results are identical at any thread count)
-  --edge-threads N      edge-shard workers inside each run's per-slot
-                        serve/select loop (default: the
-                        CARBON_EDGE_EDGE_THREADS env var, else 1);
-                        records and traces are bit-identical at any
-                        count, and threads x edge-threads is capped at
-                        the available cores with a warning
+  --edge-threads N      serve: edge lanes for each slot's serve phase
+                        (default 1); records and traces are
+                        bit-identical at any count
   --telemetry F.jsonl   write per-run JSONL traces (switches, trades,
                         violations, regret, envelope monitors); also
                         writes wall-clock span profiles to
@@ -116,7 +113,6 @@ FLAGS:
 EXAMPLES:
   carbon-edge run --policy ours --edges 10 --seeds 5
   carbon-edge compare --quick --threads 4
-  carbon-edge run --quick --edges 50 --seeds 1 --edge-threads 4
   carbon-edge run --quick --telemetry trace.jsonl
   carbon-edge run --quick --faults scenarios/ci_smoke.json --telemetry trace.jsonl
   carbon-edge gen-arrivals --edges 4 --slots 40 | carbon-edge serve \\
@@ -195,7 +191,6 @@ fn parse_spec(name: &str) -> Result<PolicySpec, String> {
 fn eval_options(opts: &Options) -> EvalOptions {
     EvalOptions {
         threads: opts.threads,
-        edge_threads: opts.edge_threads,
         telemetry: opts.telemetry.is_some(),
         profile: opts.profile.is_some() || opts.telemetry.is_some(),
         progress: true,
@@ -258,9 +253,6 @@ pub fn run(opts: &Options) -> Result<(), String> {
         results,
         telemetry,
         profiles,
-        // The driver already surfaced any oversubscription warning on
-        // stderr as the runs started.
-        warnings: _,
     } = evaluate_many_with(
         &config,
         &zoo,
@@ -339,7 +331,6 @@ pub fn compare(opts: &Options) -> Result<(), String> {
         results,
         telemetry,
         profiles,
-        warnings: _,
     } = evaluate_many_with(
         &config,
         &zoo,

@@ -7,11 +7,9 @@
 //! per-slot feedback is split accordingly. The same wrapper hosts every
 //! baseline combination of §V-A.
 
-use std::any::Any;
-
 use cne_bandit::ModelSelector;
-use cne_edgesim::policy::{EdgeShard, EdgeSlotOutcome, Policy, SlotFeedback};
-use cne_trading::policy::{TradeContext, TradeObservation, TradingPolicy};
+use cne_edgesim::policy::{Policy, SlotFeedback};
+use cne_trading::policy::{TradeContext, TradingPolicy};
 use cne_util::json::Json;
 use cne_util::units::Allowances;
 
@@ -106,12 +104,14 @@ impl ComboController {
 
     /// Restores state produced by [`export_state`](Self::export_state)
     /// onto a freshly built controller (same combo, environment, and
-    /// seed — i.e. rebuilt through `Combo::build`, no slots visited).
+    /// seed — i.e. rebuilt through `Combo::build`, no slots visited),
+    /// for a run whose next slot is `slot`.
     ///
     /// # Errors
     /// Returns an error when `state` does not match this controller's
-    /// shape or a component rejects its snapshot.
-    pub fn import_state(&mut self, state: &Json) -> Result<(), String> {
+    /// shape, a component rejects its snapshot, or a restored selector
+    /// or trader expects a slot other than `slot`.
+    pub fn import_state(&mut self, state: &Json, slot: usize) -> Result<(), String> {
         if state.as_object().is_none() {
             return Err("controller state must be an object".to_owned());
         }
@@ -155,13 +155,23 @@ impl ComboController {
             }
             restored_placement.push(n);
         }
+        let at_slot = |next: Option<usize>| match next {
+            Some(next) if next != slot => Err(format!(
+                "state is at slot {next} but the run resumes at slot {slot}"
+            )),
+            _ => Ok(()),
+        };
         // Validate everything before mutating anything, so a rejected
         // snapshot leaves the fresh controller untouched.
         for (i, (sel, snap)) in self.selectors.iter_mut().zip(selectors).enumerate() {
             sel.import_state(snap)
+                .and_then(|()| at_slot(sel.next_slot()))
                 .map_err(|e| format!("edge {i}: {e}"))?;
         }
-        self.trader.import_state(trader)?;
+        self.trader
+            .import_state(trader)
+            .and_then(|()| at_slot(self.trader.next_slot()))
+            .map_err(|e| format!("trader: {e}"))?;
         self.last_placement = restored_placement;
         Ok(())
     }
@@ -229,98 +239,6 @@ impl Policy for ComboController {
             sel.record_telemetry(i, rec);
         }
         self.trader.record_telemetry(rec);
-    }
-
-    /// Algorithm 1 decomposes over edges (constraints (2a)–(2b)), so
-    /// the controller can hand each worker exclusive ownership of its
-    /// chunk's selectors; only Algorithm 2 (trading) stays behind on
-    /// the driver.
-    fn shard_edges(&mut self, chunks: &[(usize, usize)]) -> Option<Vec<Box<dyn EdgeShard>>> {
-        assert_eq!(
-            chunks.iter().map(|&(_, len)| len).sum::<usize>(),
-            self.selectors.len(),
-            "chunks must cover every edge"
-        );
-        let mut selectors = std::mem::take(&mut self.selectors);
-        let mut shards: Vec<Box<dyn EdgeShard>> = Vec::with_capacity(chunks.len());
-        // Walk the chunks back-to-front so each split_off is O(len).
-        for &(start, len) in chunks.iter().rev() {
-            assert_eq!(
-                start,
-                selectors.len() - len,
-                "chunks must be contiguous and in edge order"
-            );
-            let chunk = selectors.split_off(start);
-            shards.push(Box::new(SelectorShard {
-                start,
-                selectors: chunk,
-                normalizer: self.normalizer,
-                last: vec![0; len],
-            }));
-        }
-        shards.reverse();
-        Some(shards)
-    }
-
-    fn absorb_shards(&mut self, shards: Vec<Box<dyn EdgeShard>>) {
-        let mut shards: Vec<SelectorShard> = shards
-            .into_iter()
-            .map(|s| {
-                *s.into_any()
-                    .downcast::<SelectorShard>()
-                    .expect("a ComboController only absorbs its own shards")
-            })
-            .collect();
-        shards.sort_by_key(|s| s.start);
-        self.selectors.clear();
-        self.last_placement.clear();
-        for shard in shards {
-            self.selectors.extend(shard.selectors);
-            self.last_placement.extend(shard.last);
-        }
-    }
-
-    fn observe_trade(&mut self, t: usize, observation: &TradeObservation) {
-        self.trader.observe(t, observation);
-    }
-}
-
-/// One worker's slice of a [`ComboController`]: the selectors for a
-/// contiguous chunk of edges, running the same select/observe protocol
-/// as the sequential controller.
-struct SelectorShard {
-    start: usize,
-    selectors: Vec<Box<dyn ModelSelector>>,
-    normalizer: LossNormalizer,
-    last: Vec<usize>,
-}
-
-impl EdgeShard for SelectorShard {
-    fn select_into(&mut self, t: usize, out: &mut Vec<usize>) {
-        for (k, sel) in self.selectors.iter_mut().enumerate() {
-            self.last[k] = sel.select(t);
-        }
-        out.clear();
-        out.extend_from_slice(&self.last);
-    }
-
-    fn observe(&mut self, t: usize, outcomes: &[EdgeSlotOutcome]) {
-        debug_assert_eq!(outcomes.len(), self.selectors.len());
-        for (k, outcome) in outcomes.iter().enumerate() {
-            if outcome.feedback_lost {
-                self.selectors[k].observe_lost(t);
-                continue;
-            }
-            debug_assert_eq!(outcome.model, self.last[k]);
-            let loss = self
-                .normalizer
-                .slot_loss(outcome.empirical_loss, outcome.compute_latency_ms);
-            self.selectors[k].observe(t, outcome.model, loss);
-        }
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }
 
@@ -401,94 +319,6 @@ mod tests {
         // Next slot proceeds without panicking (selector slot counters
         // advanced correctly).
         let _ = c.select_models(1);
-    }
-
-    fn ucb_fleet(edges: usize) -> ComboController {
-        let root = SeedSequence::new(7);
-        let selectors: Vec<Box<dyn ModelSelector>> = (0..edges)
-            .map(|i| {
-                Box::new(RandomSelector::new(3, root.derive(&format!("edge-{i}"))))
-                    as Box<dyn ModelSelector>
-            })
-            .collect();
-        ComboController::new(
-            selectors,
-            Box::new(Threshold::new(ThresholdConfig::for_band(Allowances::new(
-                1.0,
-            )))),
-            LossNormalizer::new(CostWeights::default()),
-            "Rand-TH".into(),
-        )
-    }
-
-    fn outcome_for(t: usize, i: usize, model: usize) -> cne_edgesim::EdgeSlotOutcome {
-        cne_edgesim::EdgeSlotOutcome {
-            model,
-            switched: false,
-            arrivals: 5,
-            empirical_loss: ((t * 31 + i * 7 + model) % 10) as f64 / 10.0,
-            accuracy: 0.8,
-            compute_latency_ms: 40.0 + i as f64,
-            utilization: 0.3,
-            queueing_delay_ms: 1.0,
-            emissions: GramsCo2::new(10.0),
-            feedback_lost: (t + i) % 7 == 0,
-        }
-    }
-
-    /// Driving the selectors through shards must leave them in exactly
-    /// the state the sequential protocol produces — including lost
-    /// slots — so a sharded run's learning trajectory is bit-identical.
-    #[test]
-    fn sharding_round_trip_matches_sequential() {
-        let edges = 5;
-        let mut sequential = ucb_fleet(edges);
-        let mut sharded = ucb_fleet(edges);
-        let chunks = [(0usize, 2usize), (2, 3)];
-        let mut shards = Policy::shard_edges(&mut sharded, &chunks).expect("combo must shard");
-        assert_eq!(shards.len(), 2);
-
-        let trade = TradeObservation {
-            emissions: 0.2,
-            bought: Allowances::ZERO,
-            sold: Allowances::ZERO,
-            buy_price: PricePerAllowance::new(8.0),
-            sell_price: PricePerAllowance::new(7.2),
-            cap_share: 3.0,
-        };
-        let mut chunk_placements = Vec::new();
-        for t in 0..20 {
-            // Sequential protocol.
-            let placement = sequential.select_models(t);
-            let feedback = SlotFeedback {
-                edges: placement
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &n)| outcome_for(t, i, n))
-                    .collect(),
-                trade,
-            };
-            sequential.end_of_slot(t, &feedback);
-            // Sharded protocol over the same synthetic slot.
-            let mut sharded_placement = Vec::new();
-            for (shard, &(start, _)) in shards.iter_mut().zip(&chunks) {
-                shard.select_into(t, &mut chunk_placements);
-                let outcomes: Vec<_> = chunk_placements
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &n)| outcome_for(t, start + k, n))
-                    .collect();
-                shard.observe(t, &outcomes);
-                sharded_placement.extend_from_slice(&chunk_placements);
-            }
-            assert_eq!(placement, sharded_placement, "placements split at t={t}");
-            sharded.observe_trade(t, &trade);
-        }
-        sharded.absorb_shards(shards);
-        // The reassembled controller continues exactly in step.
-        for t in 20..24 {
-            assert_eq!(sequential.select_models(t), sharded.select_models(t));
-        }
     }
 
     #[test]

@@ -87,9 +87,8 @@ pub use monitor::{LiveFinding, LiveMonitor, MonitorConfig, MonitorSummary};
 pub use offline::OfflinePolicy;
 pub use problem::LossNormalizer;
 pub use runner::{
-    evaluate, evaluate_many, evaluate_many_with, evaluate_with, resolve_edge_threads,
-    resolve_threads, EvalOptions, EvalReport, EvalResult, PolicySpec, EDGE_THREADS_ENV_VAR,
-    THREADS_ENV_VAR,
+    evaluate, evaluate_many, evaluate_many_with, evaluate_with, resolve_threads, EvalOptions,
+    EvalReport, EvalResult, PolicySpec, THREADS_ENV_VAR,
 };
 pub use serve::{ServeOptions, ServeOutcome, ServeSession};
 pub use wal::{SyncPolicy, Wal, WalOptions, WalRecord, WalTail};

@@ -18,18 +18,10 @@
 //! variable, or [`std::thread::available_parallelism`], in that order
 //! (see [`resolve_threads`]).
 //!
-//! A second, *inner* level of parallelism shards each run's per-slot
-//! serve/select hot loop across edge workers
-//! ([`EvalOptions::edge_threads`], `CARBON_EDGE_EDGE_THREADS`, default
-//! 1 — see [`resolve_edge_threads`]). The simulator reduces the
-//! workers' fixed-size partials in edge-index order, so records and
-//! traces are bit-identical at every edge-worker count too. Because
-//! the two levels multiply, the driver caps `threads × edge_threads`
-//! at the machine's available cores and reports the cap through
-//! [`EvalReport::warnings`]. Edge workers amortize their per-slot gate
-//! handshake over a batch window of
-//! [`cne_edgesim::DEFAULT_GATE_BATCH`] slots; the window is a pure
-//! scheduling constant, bit-identical at every size.
+//! Each run itself is sequential: [`Environment::run_with`] steps a
+//! one-lane `RunStepper` through the horizon. Only the serve daemon
+//! shards a slot's serve phase across edge lanes (see
+//! [`ServeOptions::edge_threads`](crate::ServeOptions::edge_threads)).
 //!
 //! # Telemetry and profiling
 //!
@@ -52,7 +44,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use cne_edgesim::{Environment, Policy, RunRecord, ServeMode, SimConfig, DEFAULT_GATE_BATCH};
+use cne_edgesim::{Environment, Policy, RunRecord, ServeMode, SimConfig};
 use cne_nn::ModelZoo;
 use cne_util::series::mean_series;
 use cne_util::span::Profiler;
@@ -69,11 +61,6 @@ use crate::regret;
 /// [`EvalOptions::threads`] is unset. Invalid or zero values are
 /// ignored.
 pub const THREADS_ENV_VAR: &str = "CARBON_EDGE_THREADS";
-
-/// Environment variable consulted for the intra-run edge-worker count
-/// when [`EvalOptions::edge_threads`] is unset. Invalid or zero values
-/// are ignored.
-pub const EDGE_THREADS_ENV_VAR: &str = "CARBON_EDGE_EDGE_THREADS";
 
 /// Which policy to evaluate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,13 +89,6 @@ pub struct EvalOptions {
     /// environment variable, then to the machine's available
     /// parallelism.
     pub threads: Option<usize>,
-    /// Edge-shard workers *inside* each run (the simulator's per-slot
-    /// serve/select loop). `None` defers to the
-    /// `CARBON_EDGE_EDGE_THREADS` environment variable, then to 1
-    /// (sequential). Results and traces are bit-identical at every
-    /// count; the driver caps `threads × edge_threads` at the
-    /// machine's available cores (see [`EvalReport::warnings`]).
-    pub edge_threads: Option<usize>,
     /// Collect a telemetry [`Recorder`] per run (see
     /// [`EvalReport::telemetry`]).
     pub telemetry: bool,
@@ -140,12 +120,6 @@ pub struct EvalReport {
     /// same spec-major order as [`telemetry`](Self::telemetry). Empty
     /// unless [`EvalOptions::profile`] was set.
     pub profiles: Vec<Profiler>,
-    /// Human-readable driver warnings (e.g. the oversubscription guard
-    /// capping [`EvalOptions::edge_threads`]). Deliberately kept out of
-    /// the telemetry recorders: traces are byte-compared across
-    /// machines with different core counts, so a hardware-dependent
-    /// warning must not perturb them.
-    pub warnings: Vec<String>,
 }
 
 /// Aggregated metrics over the seed list.
@@ -204,46 +178,6 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Resolves the intra-run edge-worker count: explicit request, then
-/// the `CARBON_EDGE_EDGE_THREADS` environment variable, then 1
-/// (sequential). Always at least 1. Unlike [`resolve_threads`] the
-/// default is *not* the machine's parallelism: the seed-level pool
-/// already claims it, and nesting both by default would oversubscribe
-/// every multi-seed invocation.
-#[must_use]
-pub fn resolve_edge_threads(requested: Option<usize>) -> usize {
-    if let Some(n) = requested {
-        return n.max(1);
-    }
-    if let Ok(value) = std::env::var(EDGE_THREADS_ENV_VAR) {
-        if let Ok(n) = value.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    1
-}
-
-/// The oversubscription guard: caps `edge_threads` so the product of
-/// seed workers and per-run edge workers never exceeds the available
-/// cores. Returns the effective edge-thread count and, when capping
-/// happened, a warning for [`EvalReport::warnings`].
-fn cap_edge_threads(threads: usize, edge_threads: usize, cores: usize) -> (usize, Option<String>) {
-    if threads.saturating_mul(edge_threads) <= cores {
-        return (edge_threads, None);
-    }
-    let capped = (cores / threads.max(1)).max(1);
-    if capped >= edge_threads {
-        return (edge_threads, None);
-    }
-    let warning = format!(
-        "{threads} seed-threads x {edge_threads} edge-threads oversubscribes \
-         {cores} available cores; capping edge-threads at {capped}"
-    );
-    (capped, Some(warning))
-}
-
 /// Builds and runs a single policy instance on a fresh environment.
 ///
 /// `seed` controls the environment realization *and* the policy's
@@ -251,18 +185,7 @@ fn cap_edge_threads(threads: usize, edge_threads: usize, cores: usize) -> (usize
 /// seed see the same environment.
 #[must_use]
 pub fn run_single(config: &SimConfig, zoo: &ModelZoo, seed: u64, spec: &PolicySpec) -> RunRecord {
-    run_job(
-        config,
-        zoo,
-        seed,
-        spec,
-        false,
-        false,
-        ServeMode::default(),
-        1,
-        DEFAULT_GATE_BATCH,
-    )
-    .record
+    run_job(config, zoo, seed, spec, &EvalOptions::default()).record
 }
 
 /// Everything one `(seed, spec)` run produces. `p1` is computed while
@@ -275,27 +198,25 @@ struct JobOutput {
     envelope_violations: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
+/// One `(seed, spec)` run under `options`' serve mode and
+/// instrumentation (its thread and progress knobs are the driver's).
 fn run_job(
     config: &SimConfig,
     zoo: &ModelZoo,
     seed: u64,
     spec: &PolicySpec,
-    telemetry: bool,
-    profile: bool,
-    serve_mode: ServeMode,
-    edge_threads: usize,
-    gate_batch: usize,
+    options: &EvalOptions,
 ) -> JobOutput {
     let root = SeedSequence::new(seed);
-    let env = Environment::with_serve_mode(config.clone(), zoo, &root.derive("env"), serve_mode);
-    let mut recorder = telemetry.then(|| {
+    let env =
+        Environment::with_serve_mode(config.clone(), zoo, &root.derive("env"), options.serve_mode);
+    let mut recorder = options.telemetry.then(|| {
         let mut rec = Recorder::new();
         rec.set_label("policy", spec.name());
         rec.set_label("seed", seed.to_string());
         rec
     });
-    let mut profiler = profile.then(|| {
+    let mut profiler = options.profile.then(|| {
         let mut p = Profiler::new();
         p.set_label("policy", spec.name());
         p.set_label("seed", seed.to_string());
@@ -305,13 +226,7 @@ fn run_job(
         PolicySpec::Combo(combo) => Box::new(combo.build(&env, &root.derive("alg"))),
         PolicySpec::Offline => Box::new(OfflinePolicy::plan(&env)),
     };
-    let record = env.run_with_batch(
-        policy.as_mut(),
-        recorder.as_mut(),
-        profiler.as_mut(),
-        edge_threads,
-        gate_batch,
-    );
+    let record = env.run_with(policy.as_mut(), recorder.as_mut(), profiler.as_mut());
     let (p1, envelope_violations) = finalize_run(config, &env, &record, spec, recorder.as_mut());
     JobOutput {
         record,
@@ -500,35 +415,13 @@ pub fn evaluate_many_with(
 
     let num_jobs = specs.len() * seeds.len();
     let threads = resolve_threads(options.threads).min(num_jobs);
-    // Oversubscription guard: the seed pool is sized first (it is the
-    // outer, coarser-grained level), then the intra-run edge pool gets
-    // whatever core budget is left. Warnings stay out of the telemetry
-    // recorders deliberately — see [`EvalReport::warnings`].
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let (edge_threads, warning) =
-        cap_edge_threads(threads, resolve_edge_threads(options.edge_threads), cores);
-    let mut warnings = Vec::new();
-    if let Some(warning) = warning {
-        eprintln!("warning: {warning}");
-        warnings.push(warning);
-    }
     let job_spec = |job: usize| (job / seeds.len(), job % seeds.len());
 
     let mut outputs: Vec<Option<JobOutput>> = if threads <= 1 {
         (0..num_jobs)
             .map(|job| {
                 let (s, k) = job_spec(job);
-                let out = run_job(
-                    config,
-                    zoo,
-                    seeds[k],
-                    &specs[s],
-                    options.telemetry,
-                    options.profile,
-                    options.serve_mode,
-                    edge_threads,
-                    DEFAULT_GATE_BATCH,
-                );
+                let out = run_job(config, zoo, seeds[k], &specs[s], options);
                 if options.progress {
                     report_progress(job + 1, num_jobs, &specs[s], seeds[k]);
                 }
@@ -548,17 +441,7 @@ pub fn evaluate_many_with(
                         break;
                     }
                     let (s, k) = job_spec(job);
-                    let out = run_job(
-                        config,
-                        zoo,
-                        seeds[k],
-                        &specs[s],
-                        options.telemetry,
-                        options.profile,
-                        options.serve_mode,
-                        edge_threads,
-                        DEFAULT_GATE_BATCH,
-                    );
+                    let out = run_job(config, zoo, seeds[k], &specs[s], options);
                     *slots[job].lock().expect("no panics while holding the lock") = Some(out);
                     if options.progress {
                         let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
@@ -600,7 +483,6 @@ pub fn evaluate_many_with(
         results,
         telemetry,
         profiles,
-        warnings,
     }
 }
 
@@ -894,124 +776,5 @@ mod tests {
         // branch is covered end-to-end by CI, which runs the suite
         // under CARBON_EDGE_THREADS=1 and =4.)
         assert!(resolve_threads(None) >= 1);
-    }
-
-    #[test]
-    fn resolve_edge_threads_defaults_to_sequential() {
-        assert_eq!(resolve_edge_threads(Some(4)), 4);
-        assert_eq!(resolve_edge_threads(Some(0)), 1, "zero clamps to one");
-        // No explicit request and (in a clean test environment) no env
-        // var: edge sharding is opt-in, so the default must be 1.
-        // (The env-var branch is covered end-to-end by CI, which runs
-        // configurations under CARBON_EDGE_EDGE_THREADS.)
-        if std::env::var(EDGE_THREADS_ENV_VAR).is_err() {
-            assert_eq!(resolve_edge_threads(None), 1);
-        }
-    }
-
-    #[test]
-    fn oversubscription_guard_caps_the_product() {
-        // Fits: untouched, no warning.
-        assert_eq!(cap_edge_threads(1, 4, 4), (4, None));
-        assert_eq!(cap_edge_threads(2, 2, 4), (2, None));
-        assert_eq!(cap_edge_threads(4, 1, 4), (1, None));
-        // Oversubscribed: capped at cores / threads, floor 1, warned.
-        let (capped, warning) = cap_edge_threads(4, 4, 4);
-        assert_eq!(capped, 1);
-        let warning = warning.expect("capping must warn");
-        assert!(warning.contains("oversubscribes"), "{warning}");
-        assert!(warning.contains("capping edge-threads at 1"), "{warning}");
-        assert_eq!(cap_edge_threads(2, 8, 8).0, 4);
-        // Degenerate core counts never produce a zero worker count.
-        assert_eq!(cap_edge_threads(4, 4, 1).0, 1);
-    }
-
-    /// End-to-end determinism of the inner edge pool, driven exactly
-    /// the way `evaluate_many_with` drives it — but calling `run_job`
-    /// directly so the oversubscription guard (which would cap the
-    /// edge-worker count on small CI machines) cannot neuter the test.
-    #[test]
-    fn edge_threads_do_not_change_records_or_traces() {
-        let (zoo, mut cfg) = setup();
-        // Ours shards its selectors; Offline exercises the non-sharded
-        // worker path. Run both, fault-free and under a mixed fault
-        // schedule.
-        for spec in [PolicySpec::Combo(Combo::ours()), PolicySpec::Offline] {
-            for faulted in [false, true] {
-                cfg.faults = faulted.then(|| cne_faults::FaultScenario::mixed("mixed-20", 0.2));
-                let run = |edge_threads: usize, gate_batch: usize| {
-                    run_job(
-                        &cfg,
-                        &zoo,
-                        9,
-                        &spec,
-                        true,
-                        false,
-                        ServeMode::default(),
-                        edge_threads,
-                        gate_batch,
-                    )
-                };
-                let base = run(1, 1);
-                let base_trace = base.recorder.as_ref().unwrap().to_jsonl_string();
-                for edge_threads in [2, 4] {
-                    // 1 = per-slot handshake, 3 = windows that straddle
-                    // the horizon unevenly, 64 > horizon = one window
-                    // for the whole run (exercises the clamp).
-                    for gate_batch in [1, 3, 64] {
-                        let out = run(edge_threads, gate_batch);
-                        assert_eq!(
-                            base.record,
-                            out.record,
-                            "{} record diverged at {edge_threads} edge threads, \
-                             batch {gate_batch} (faulted={faulted})",
-                            spec.name()
-                        );
-                        assert_eq!(
-                            base_trace,
-                            out.recorder.as_ref().unwrap().to_jsonl_string(),
-                            "{} trace diverged at {edge_threads} edge threads, \
-                             batch {gate_batch} (faulted={faulted})",
-                            spec.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn eval_report_carries_oversubscription_warnings() {
-        let (zoo, cfg) = setup();
-        let report = evaluate_many_with(
-            &cfg,
-            &zoo,
-            &[1u64],
-            &[PolicySpec::Combo(Combo::ours())],
-            &EvalOptions {
-                threads: Some(1),
-                // More edge workers than any machine has cores.
-                edge_threads: Some(usize::MAX),
-                ..EvalOptions::default()
-            },
-        );
-        assert_eq!(report.warnings.len(), 1, "guard must warn exactly once");
-        assert!(report.warnings[0].contains("oversubscribes"));
-        // The capped run still completed normally.
-        assert_eq!(report.results.len(), 1);
-        // And an in-budget request leaves no warnings behind.
-        let quiet = evaluate_many_with(
-            &cfg,
-            &zoo,
-            &[1u64],
-            &[PolicySpec::Combo(Combo::ours())],
-            &EvalOptions {
-                threads: Some(1),
-                edge_threads: Some(1),
-                ..EvalOptions::default()
-            },
-        );
-        assert!(quiet.warnings.is_empty());
-        assert_eq!(quiet.results, report.results, "cap must not change results");
     }
 }

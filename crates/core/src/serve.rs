@@ -34,8 +34,13 @@ pub struct ServeOptions {
     /// How the environment reduces the per-slot request streams (same
     /// meaning as `EvalOptions::serve_mode`).
     pub serve_mode: ServeMode,
-    /// Edge-shard workers for the per-slot serve/select loop (1 =
-    /// sequential). Traces are bit-identical at every count.
+    /// Edge lanes for each slot's serve phase (1 = sequential): the
+    /// stepper splits the edges into this many contiguous lanes and
+    /// serves them on a per-slot scoped worker pool (see
+    /// `Environment::stepper`). Selection, trading and feedback stay on
+    /// the session's thread. Traces are bit-identical at every count.
+    /// This is the only place a run shards edges; batch runs are
+    /// sequential.
     pub edge_threads: usize,
     /// Carry a telemetry [`Recorder`] through the run. Checkpoints
     /// embed the mid-run trace so a resume continues it seamlessly.
@@ -208,7 +213,9 @@ impl<'a> ServeSession<'a> {
         session
             .stepper
             .restore_state(&session.env, &checkpoint.stepper)?;
-        session.policy.import_state(&checkpoint.policy_state)?;
+        session
+            .policy
+            .import_state(&checkpoint.policy_state, checkpoint.stepper.next_slot)?;
         if let Some(text) = &checkpoint.telemetry {
             let mut recorders = parse_jsonl(text)
                 .map_err(|e| format!("checkpoint telemetry trace is corrupt: {e}"))?;

@@ -53,7 +53,6 @@ fn served_run_matches_batch_driver() {
             &[PolicySpec::Combo(Combo::ours())],
             &EvalOptions {
                 threads: Some(1),
-                edge_threads: Some(1),
                 telemetry: true,
                 serve_mode,
                 ..EvalOptions::default()
@@ -202,13 +201,11 @@ fn resume_from_checkpoint_is_bit_identical() {
 }
 
 /// Serve checkpoints land wherever the operator (or `--halt-at-slot`)
-/// puts them — almost never on a batch-window boundary of the
-/// parallel driver. A resume from slot `k` with `k % K ≠ 0` must
-/// still reproduce the windowed parallel run's record exactly, and the
-/// batch driver's trace byte for byte: the batch window is a
-/// scheduling detail of the *driver*, invisible to recorded state.
+/// puts them. A resume from any slot `k`, at any edge-thread count,
+/// must reproduce the sequential batch run's record exactly, and the
+/// batch driver's trace byte for byte.
 #[test]
-fn non_window_aligned_checkpoints_resume_bit_identically() {
+fn checkpoints_at_any_slot_resume_bit_identically() {
     let (zoo, cfg) = setup();
     let arrivals = raw_arrivals(&cfg, SEED);
     let horizon = cfg.horizon;
@@ -222,79 +219,125 @@ fn non_window_aligned_checkpoints_resume_bit_identically() {
             &[PolicySpec::Combo(Combo::ours())],
             &EvalOptions {
                 threads: Some(1),
-                edge_threads: Some(4),
                 telemetry: true,
                 serve_mode,
                 ..EvalOptions::default()
             },
         );
         let batch_trace = report.telemetry[0].to_jsonl_string();
-        for gate_batch in [3usize, 5] {
-            // Reference record: the parallel path at 4 edge workers
-            // with this batch window, driven directly.
-            let env =
-                Environment::with_serve_mode(cfg.clone(), &zoo, &root.derive("env"), serve_mode);
-            let mut policy = Combo::ours().build(&env, &root.derive("alg"));
-            let batch_record = env.run_with_batch(&mut policy, None, None, 4, gate_batch);
-            assert_eq!(
-                batch_record, report.results[0].records[0],
-                "batch window {gate_batch} changed the record ({serve_mode:?})"
-            );
+        // Reference record: the sequential engine, driven directly.
+        let env = Environment::with_serve_mode(cfg.clone(), &zoo, &root.derive("env"), serve_mode);
+        let mut policy = Combo::ours().build(&env, &root.derive("alg"));
+        let batch_record = env.run_with(&mut policy, None, None);
+        assert_eq!(
+            batch_record, report.results[0].records[0],
+            "the batch driver changed the record ({serve_mode:?})"
+        );
 
-            let opts = ServeOptions {
-                serve_mode,
-                edge_threads: 1,
-                telemetry: true,
-                ..ServeOptions::default()
-            };
-            let candidates = [
-                gate_batch - 1,
-                gate_batch + 2,
-                horizon / 2 + 1,
-                horizon / 2 + 2,
-            ];
-            let slots: Vec<usize> = candidates
-                .into_iter()
-                .filter(|k| *k > 0 && k % gate_batch != 0)
-                .collect();
-            assert!(slots.len() >= 3, "need several mid-window checkpoints");
-            for k in slots {
-                let mut head = ServeSession::new(cfg.clone(), &zoo, SEED, Combo::ours(), &opts);
-                for t in 0..k {
-                    head.push_slot(&slot_row(&arrivals, t));
-                }
-                let ckpt = head.checkpoint().expect("Ours must checkpoint");
-                let text = ckpt.encode();
-                let ckpt = Checkpoint::parse(&text).expect("well-formed checkpoint");
-
-                let mut tail = ServeSession::resume(
-                    cfg.clone(),
-                    &zoo,
-                    Combo::ours(),
-                    &ckpt,
-                    &ServeOptions {
-                        edge_threads: 4,
-                        ..opts.clone()
-                    },
-                )
-                .expect("resume");
-                for t in k..horizon {
-                    tail.push_slot(&slot_row(&arrivals, t));
-                }
-                let out = tail.finish();
-                assert_eq!(
-                    out.record, batch_record,
-                    "record diverged: checkpoint at k={k} vs batch window \
-                     K={gate_batch} ({serve_mode:?})"
-                );
-                assert_eq!(
-                    out.telemetry.expect("telemetry on").to_jsonl_string(),
-                    batch_trace,
-                    "trace diverged: checkpoint at k={k} vs batch window \
-                     K={gate_batch} ({serve_mode:?})"
-                );
+        let opts = ServeOptions {
+            serve_mode,
+            edge_threads: 1,
+            telemetry: true,
+            ..ServeOptions::default()
+        };
+        for k in [2, 4, 5, 7, horizon / 2 + 1, horizon / 2 + 2] {
+            let mut head = ServeSession::new(cfg.clone(), &zoo, SEED, Combo::ours(), &opts);
+            for t in 0..k {
+                head.push_slot(&slot_row(&arrivals, t));
             }
+            let ckpt = head.checkpoint().expect("Ours must checkpoint");
+            let text = ckpt.encode();
+            let ckpt = Checkpoint::parse(&text).expect("well-formed checkpoint");
+
+            let mut tail = ServeSession::resume(
+                cfg.clone(),
+                &zoo,
+                Combo::ours(),
+                &ckpt,
+                &ServeOptions {
+                    edge_threads: 4,
+                    ..opts.clone()
+                },
+            )
+            .expect("resume");
+            for t in k..horizon {
+                tail.push_slot(&slot_row(&arrivals, t));
+            }
+            let out = tail.finish();
+            assert_eq!(
+                out.record, batch_record,
+                "record diverged: checkpoint at k={k} ({serve_mode:?})"
+            );
+            assert_eq!(
+                out.telemetry.expect("telemetry on").to_jsonl_string(),
+                batch_trace,
+                "trace diverged: checkpoint at k={k} ({serve_mode:?})"
+            );
         }
+    }
+}
+
+/// A checkpoint can parse yet carry run state no run produces: a
+/// negative ledger total, a model index outside the zoo, or a learner
+/// whose slot counter disagrees with the checkpoint's slot. Resume must refuse it with an error —
+/// not panic inside the ledger, nor accept it and panic on the first
+/// slot served.
+#[test]
+fn resume_rejects_corrupted_run_state() {
+    let (zoo, cfg) = setup();
+    let arrivals = raw_arrivals(&cfg, SEED);
+    let opts = ServeOptions::default();
+    let slots = 6;
+    let mut session = ServeSession::new(cfg.clone(), &zoo, SEED, Combo::ours(), &opts);
+    for t in 0..slots {
+        session.push_slot(&slot_row(&arrivals, t));
+    }
+    let ckpt = session.checkpoint().expect("checkpoint");
+    let resume = |ckpt: &Checkpoint| {
+        ServeSession::resume(cfg.clone(), &zoo, Combo::ours(), ckpt, &opts).map(|_| ())
+    };
+    assert_eq!(resume(&ckpt), Ok(()), "the intact checkpoint resumes");
+
+    for field in 0..5 {
+        let mut bad = ckpt.clone();
+        let l = &mut bad.stepper.ledger;
+        *[
+            &mut l.bought,
+            &mut l.sold,
+            &mut l.emitted,
+            &mut l.spent,
+            &mut l.earned,
+        ][field] = -1.0;
+        let err = resume(&bad).unwrap_err();
+        assert!(err.contains("ledger"), "{err}");
+    }
+    let mut bad = ckpt.clone();
+    bad.stepper.edges[0].prev_model = Some(zoo.len());
+    let err = resume(&bad).unwrap_err();
+    assert!(err.contains("zoo"), "{err}");
+
+    // One token of the controller state changed: a selector's slot
+    // counter, or the first slot of the trader's λ trajectory.
+    let policy_text = ckpt.policy_state.encode();
+    let trajectory = policy_text.find("\"trajectory\":[").expect("trader state");
+    let mutations = [
+        policy_text.replacen(
+            &format!("\"next_slot\":{slots}"),
+            &format!("\"next_slot\":{}", slots + 1),
+            1,
+        ),
+        format!(
+            "{}{}",
+            &policy_text[..trajectory],
+            policy_text[trajectory..].replacen("[0,", "[1,", 1)
+        ),
+    ];
+    for (mutated, want) in mutations.iter().zip(["edge 0", "trader"]) {
+        assert_ne!(mutated, &policy_text, "mutation must apply");
+        let mut bad = ckpt.clone();
+        bad.policy_state = cne_util::json::parse(mutated).expect("still valid JSON");
+        let err = resume(&bad).unwrap_err();
+        assert!(err.contains(want) && err.contains("slot"), "{err}");
     }
 }
 

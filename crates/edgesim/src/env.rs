@@ -1,9 +1,6 @@
 //! The pre-realized simulation environment and the run loop.
 
-use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::panic::resume_unwind;
 
 use cne_faults::{FaultSchedule, TradeCarry, TradeCarryParts};
 use cne_market::{AllowanceLedger, CarbonMarket, LedgerParts, TradeReceipt};
@@ -13,7 +10,6 @@ use cne_simdata::stream::DataStream;
 use cne_simdata::topology::Topology;
 use cne_simdata::workload::{DiurnalWorkload, WorkloadTrace};
 use cne_trading::policy::{TradeContext, TradeObservation};
-use cne_util::gate::Gate;
 use cne_util::pad::CachePadded;
 use cne_util::span::Profiler;
 use cne_util::telemetry::Recorder;
@@ -22,17 +18,8 @@ use cne_util::SeedSequence;
 
 use crate::config::SimConfig;
 use crate::lanes::{replay_tele, EdgeLanes, EdgePartial, PendingDownload, TeleOp, TeleSink};
-use crate::policy::{EdgeShard, EdgeSlotOutcome, Policy, SlotFeedback};
-use crate::record::{EdgeRecord, RunRecord, SlotRecord};
-
-/// Default epoch-gate batch window for parallel runs: how many
-/// consecutive slots each edge worker runs per command/done gate round
-/// trip when the policy shards (see [`Environment::run_with_batch`],
-/// which tests use to sweep other windows). Eight slots amortizes
-/// the two gate handshakes and all mailbox locking to noise against
-/// even µs-scale slots, while the driver's reduction trails the
-/// workers by at most seven slots.
-pub const DEFAULT_GATE_BATCH: usize = 8;
+use crate::policy::{EdgeSlotOutcome, Policy, SlotFeedback};
+use crate::record::{RunRecord, SlotRecord};
 
 /// How the per-slot request streams are reduced to slot statistics.
 ///
@@ -858,7 +845,7 @@ impl<'a> Environment<'a> {
     /// # Panics
     /// Panics if the policy returns a malformed placement vector.
     pub fn run(&self, policy: &mut dyn Policy) -> RunRecord {
-        self.run_impl(policy, None, None)
+        self.run_with(policy, None, None)
     }
 
     /// Runs a policy through the whole horizon while recording
@@ -880,96 +867,41 @@ impl<'a> Environment<'a> {
         policy: &mut dyn Policy,
         telemetry: &mut cne_util::telemetry::Recorder,
     ) -> RunRecord {
-        self.run_impl(policy, Some(telemetry), None)
+        self.run_with(policy, Some(telemetry), None)
     }
 
-    /// Runs a policy with every instrumentation option explicit,
-    /// sharding the per-slot edge loop across `edge_threads` persistent
-    /// workers (clamped to the edge count; `1` runs the classic
-    /// sequential loop).
-    ///
-    /// The returned [`RunRecord`] and any telemetry written are
-    /// **bit-identical at every `edge_threads` value**, in both serve
-    /// modes and under any fault scenario: workers emit fixed-size
-    /// per-edge partials and buffered telemetry that the driver reduces
-    /// in edge-index order, so every floating-point accumulation and
-    /// every trace line happens in the same sequence as the sequential
-    /// loop.
-    ///
-    /// Policies that implement [`Policy::shard_edges`] have their
-    /// per-edge state moved onto the workers for the duration of the
-    /// run — model selection and loss observation then happen inside
-    /// the workers, off the driver's critical path — while the trading
-    /// half stays on the driver and is fed through
-    /// [`Policy::observe_trade`]. Other policies keep selection and
-    /// `end_of_slot` on the driver; only the serve/accounting loop is
-    /// sharded.
+    /// Runs a policy through the whole horizon with every
+    /// instrumentation option explicit, by stepping a one-lane
+    /// [`RunStepper`] slot by slot — the same engine a serve daemon
+    /// drives, so a batch run and a streamed run of the same arrivals
+    /// agree byte-for-byte by construction.
     ///
     /// A supplied profiler records wall-clock stage spans only:
-    /// `run` → `slot` → `select` / `trade` / `serve` / `feedback` on
-    /// the sequential path, never anything per edge. Profiling only
-    /// observes the run: the record and any telemetry are bit-identical
-    /// to the unprofiled run. A parallel run records only the coarse
-    /// `run` and `slot` spans; with a batch window the first slot span
-    /// of each window carries the window's serve wait, the rest time
-    /// only their drain.
-    ///
-    /// Parallel runs batch [`DEFAULT_GATE_BATCH`] slots per epoch-gate
-    /// round trip; use [`Environment::run_with_batch`] to pick the
-    /// window explicitly.
+    /// `run` → `slot` → `select` / `trade` / `serve` / `feedback`,
+    /// never anything per edge. Profiling only observes the run: the
+    /// record and any telemetry are bit-identical to the unprofiled
+    /// run.
     ///
     /// # Panics
-    /// Panics if the policy returns a malformed placement vector, and
-    /// propagates any worker panic after shutting the pool down
-    /// cleanly.
+    /// Panics if the policy returns a malformed placement vector.
     pub fn run_with(
         &self,
         policy: &mut dyn Policy,
-        telemetry: Option<&mut cne_util::telemetry::Recorder>,
-        profiler: Option<&mut Profiler>,
-        edge_threads: usize,
+        mut telemetry: Option<&mut cne_util::telemetry::Recorder>,
+        mut profiler: Option<&mut Profiler>,
     ) -> RunRecord {
-        self.run_with_batch(
-            policy,
-            telemetry,
-            profiler,
-            edge_threads,
-            DEFAULT_GATE_BATCH,
-        )
-    }
-
-    /// [`Environment::run_with`] with an explicit epoch-gate batch
-    /// window: on a parallel run of a sharding policy, each worker runs
-    /// `gate_batch` consecutive slots against its own chunk per
-    /// command/done gate round trip, amortizing both gate handshakes
-    /// and all mailbox locking across the window. The driver then
-    /// drains and reduces the window slot by slot in the usual lane
-    /// order, so records and traces remain **bit-identical at every
-    /// `(edge_threads, gate_batch)` pair** — the window only changes
-    /// when synchronization happens, never the order of any
-    /// accumulation or trace line.
-    ///
-    /// Policies that do not shard fall back to a one-slot window (the
-    /// driver must feed `end_of_slot(t)` back before it can select for
-    /// `t + 1`), as does the sequential path. `gate_batch` is clamped
-    /// to `1..=horizon`.
-    ///
-    /// # Panics
-    /// As [`Environment::run_with`].
-    pub fn run_with_batch(
-        &self,
-        policy: &mut dyn Policy,
-        telemetry: Option<&mut cne_util::telemetry::Recorder>,
-        profiler: Option<&mut Profiler>,
-        edge_threads: usize,
-        gate_batch: usize,
-    ) -> RunRecord {
-        let lanes = edge_threads.max(1).min(self.config.num_edges.max(1));
-        if lanes <= 1 {
-            self.run_impl(policy, telemetry, profiler)
-        } else {
-            self.run_parallel(policy, telemetry, profiler, lanes, gate_batch)
+        let mut stepper = self.stepper(1);
+        span_enter(&mut profiler, "run");
+        for _ in 0..self.config.horizon {
+            stepper.step(
+                self,
+                policy,
+                telemetry.as_deref_mut(),
+                profiler.as_deref_mut(),
+            );
         }
+        span_exit(&mut profiler); // run
+        stepper.finish(self, policy, telemetry)
     }
 
     /// One slot of allowance trading under an active fault schedule:
@@ -1061,15 +993,16 @@ impl<'a> Environment<'a> {
     /// `RunStepper` owns everything the run loop mutates — the
     /// allowance ledger, per-edge serve state, trade carry, slot
     /// records — and advances one slot per [`RunStepper::step`] call.
-    /// `edge_threads > 1` shards the serve phase of each step across a
-    /// per-slot scoped worker pool (clamped to the edge count), with
-    /// buffered telemetry replayed in edge-index order, so the output
-    /// is bit-identical at any thread count.
+    /// It is the only slot engine: batch runs ([`Environment::run_with`]
+    /// and its callers) step it with one lane, and a serve daemon steps
+    /// it as arrivals come in.
     ///
-    /// The sequential batch path ([`Environment::run`] and friends) is
-    /// implemented on top of this stepper, so an online (streamed) run
-    /// and a batch replay of the same arrivals agree byte-for-byte by
-    /// construction.
+    /// `edge_threads > 1` splits the edges into that many contiguous
+    /// lanes (clamped to the edge count) and serves them on a per-slot
+    /// scoped worker pool, with buffered telemetry replayed in
+    /// edge-index order, so the output is bit-identical at any lane
+    /// count. Selection, trading and feedback stay on the calling
+    /// thread.
     #[must_use]
     pub fn stepper(&self, edge_threads: usize) -> RunStepper {
         let cfg = &self.config;
@@ -1100,423 +1033,6 @@ impl<'a> Environment<'a> {
                 .as_ref()
                 .map(|s| TradeCarry::new(s.scenario().backoff())),
             next_slot: 0,
-        }
-    }
-
-    fn run_impl(
-        &self,
-        policy: &mut dyn Policy,
-        mut telemetry: Option<&mut cne_util::telemetry::Recorder>,
-        mut profiler: Option<&mut Profiler>,
-    ) -> RunRecord {
-        let mut stepper = self.stepper(1);
-        span_enter(&mut profiler, "run");
-        for _ in 0..self.config.horizon {
-            stepper.step(
-                self,
-                policy,
-                telemetry.as_deref_mut(),
-                profiler.as_deref_mut(),
-            );
-        }
-        span_exit(&mut profiler); // run
-        stepper.finish(self, policy, telemetry)
-    }
-
-    /// Runs the whole horizon over a persistent pool of `num_lanes`
-    /// edge workers (`num_lanes >= 2`, at most one worker per edge),
-    /// batching `gate_batch` slots per gate round trip when the policy
-    /// shards.
-    ///
-    /// # Phase clock
-    ///
-    /// Two monotonic [`Gate`]s pace the pool, one epoch per **window**
-    /// of up to `gate_batch` consecutive slots (always exactly one
-    /// slot for driver-fed policies). The driver releases the window
-    /// ending at slot `e − 1` by advancing the command gate to `e`;
-    /// each worker runs (select →) serve → observe for every slot of
-    /// the window against its own contiguous edge chunk — every
-    /// per-slot input (arrivals, stream statistics, prices, the fault
-    /// schedule) was pre-realized at construction, so no driver help
-    /// is needed mid-window — stages one [`SlotMail`] per slot, swaps
-    /// the batch into its mailbox, and bumps the done gate once. While
-    /// the workers serve, the driver runs the window's *first* slot of
-    /// trading (later slots need the preceding slot's reduction);
-    /// after `done` reaches `num_lanes × (w + 1)` it drains the window
-    /// slot-major, each slot's mailboxes **in lane (edge-index)
-    /// order**: trade, replay buffered telemetry, reduce the per-edge
-    /// partials, post emissions to the ledger — every accumulation in
-    /// exactly the sequence the sequential loop uses — and feed the
-    /// policy.
-    ///
-    /// # Panic protocol
-    ///
-    /// A worker panic is caught, its payload parked, a poison flag
-    /// raised, and enough done-epochs added that the driver can never
-    /// block on the dead worker; the driver re-raises the payload after
-    /// its next wait. A driver panic trips the shutdown flag on unwind
-    /// so parked workers exit and the scope can join.
-    fn run_parallel(
-        &self,
-        policy: &mut dyn Policy,
-        mut telemetry: Option<&mut cne_util::telemetry::Recorder>,
-        mut profiler: Option<&mut Profiler>,
-        num_lanes: usize,
-        gate_batch: usize,
-    ) -> RunRecord {
-        let cfg = &self.config;
-        let lane_states = EdgeLanes::split(cfg.num_edges, self.zoo.len(), num_lanes);
-        let chunks: Vec<(usize, usize)> = lane_states
-            .iter()
-            .map(|lane| (lane.start(), lane.len()))
-            .collect();
-        let shards = policy.shard_edges(&chunks);
-        let sharded = shards.is_some();
-        let worker_shards: Vec<Option<Box<dyn EdgeShard>>> = match shards {
-            Some(shards) => {
-                assert_eq!(
-                    shards.len(),
-                    chunks.len(),
-                    "shard_edges must return one shard per chunk"
-                );
-                shards.into_iter().map(Some).collect()
-            }
-            None => (0..num_lanes).map(|_| None).collect(),
-        };
-        let traced = telemetry.is_some();
-        // Sharded policies select and observe entirely inside the
-        // workers (the shard contract: selection never depends on
-        // driver-side feedback), so workers can run a whole window of
-        // slots autonomously. Driver-fed policies need `end_of_slot(t)`
-        // before they can select for `t + 1`, which forces a one-slot
-        // window.
-        let window = if sharded {
-            gate_batch.clamp(1, cfg.horizon.max(1))
-        } else {
-            1
-        };
-        let num_windows = cfg.horizon.div_ceil(window);
-
-        let cmd = Gate::new();
-        let done = Gate::new();
-        let shutdown = AtomicBool::new(false);
-        let poisoned = AtomicBool::new(false);
-        let poison: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-        let mailboxes: Vec<CachePadded<Mutex<LaneMail>>> = (0..num_lanes)
-            .map(|_| CachePadded::new(Mutex::new(LaneMail::default())))
-            .collect();
-
-        let mut ledger = AllowanceLedger::new(cfg.cap);
-        let mut slots = Vec::with_capacity(cfg.horizon);
-        let cap_share = cfg.cap_share();
-        let mut placements: Vec<usize> = Vec::with_capacity(cfg.num_edges);
-        let mut outcomes: Vec<EdgeSlotOutcome> = Vec::with_capacity(cfg.num_edges);
-        let mut partials: Vec<EdgePartial> = Vec::with_capacity(cfg.num_edges);
-        let mut trade_carry = self
-            .faults
-            .as_ref()
-            .map(|s| TradeCarry::new(s.scenario().backoff()));
-
-        span_enter(&mut profiler, "run");
-        let lane_results = std::thread::scope(|scope| {
-            // If the driver unwinds (policy panic, malformed
-            // placement), wake every parked worker so the scope can
-            // join instead of deadlocking; after a clean run the
-            // workers have already left their loops and the release is
-            // a no-op.
-            struct ReleaseWorkers<'g> {
-                shutdown: &'g AtomicBool,
-                cmd: &'g Gate,
-            }
-            impl Drop for ReleaseWorkers<'_> {
-                fn drop(&mut self) {
-                    self.shutdown.store(true, Ordering::SeqCst);
-                    self.cmd.advance_to(u64::MAX);
-                }
-            }
-            let _release = ReleaseWorkers {
-                shutdown: &shutdown,
-                cmd: &cmd,
-            };
-
-            let mut handles = Vec::with_capacity(num_lanes);
-            for (lane, (mut lane_state, mut shard)) in
-                lane_states.into_iter().zip(worker_shards).enumerate()
-            {
-                let mailbox = &mailboxes[lane];
-                let (cmd, done, shutdown, poisoned, poison) =
-                    (&cmd, &done, &shutdown, &poisoned, &poison);
-                handles.push(scope.spawn(move || {
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        self.worker_loop(
-                            &mut lane_state,
-                            shard.as_mut(),
-                            mailbox,
-                            cmd,
-                            done,
-                            shutdown,
-                            traced,
-                            window,
-                        );
-                    }));
-                    if let Err(payload) = run {
-                        {
-                            let mut slot = lock(poison);
-                            if slot.is_none() {
-                                *slot = Some(payload);
-                            }
-                        }
-                        poisoned.store(true, Ordering::SeqCst);
-                        // Keep every future done-wait satisfiable so
-                        // the driver never blocks on a dead worker; it
-                        // checks the poison flag right after each wait.
-                        done.add((cfg.horizon as u64 + 1) * num_lanes as u64);
-                    }
-                    (lane_state, shard)
-                }));
-            }
-
-            // Per-lane window results, collected after each done-wait
-            // and drained slot-major below. Reused across windows.
-            let mut window_mail: Vec<Vec<SlotMail>> = (0..num_lanes).map(|_| Vec::new()).collect();
-            for win in 0..num_windows {
-                let base = win * window;
-                let len = window.min(cfg.horizon - base);
-                span_enter(&mut profiler, "slot");
-                if !sharded {
-                    // Driver-fed selection: window == 1, slot `base`.
-                    policy.select_models_into(base, &mut placements);
-                    assert_eq!(
-                        placements.len(),
-                        cfg.num_edges,
-                        "policy must place one model per edge"
-                    );
-                    for &n in &placements {
-                        assert!(n < self.zoo.len(), "model index out of range");
-                    }
-                    for (mailbox, &(start, len)) in mailboxes.iter().zip(&chunks) {
-                        let mut mail = lock(mailbox);
-                        mail.placements.clear();
-                        mail.placements
-                            .extend_from_slice(&placements[start..start + len]);
-                    }
-                }
-                cmd.advance_to((base + len) as u64);
-
-                // Trading (Algorithm 2, driver-owned) for the window's
-                // *first* slot overlaps with the workers' serve phase;
-                // later slots need the preceding slot's reduction and
-                // run in the drain below. The workers never touch the
-                // ledger, so its mutation order matches the sequential
-                // loop: each slot's trade first, then that slot's
-                // per-edge emissions in the reduction.
-                let first_ctx = self.trade_context(base, cap_share);
-                let (z, w) = policy.decide_trades(base, &first_ctx);
-                let first_receipt = self.execute_trade(
-                    base,
-                    &first_ctx,
-                    z,
-                    w,
-                    trade_carry.as_mut(),
-                    &mut ledger,
-                    telemetry.as_deref_mut(),
-                );
-                let mut first_trade = Some((first_ctx, first_receipt));
-
-                done.wait_at_least(num_lanes as u64 * (win as u64 + 1));
-                if poisoned.load(Ordering::SeqCst) {
-                    match lock(&poison).take() {
-                        Some(payload) => resume_unwind(payload),
-                        None => panic!("an edge worker panicked"),
-                    }
-                }
-
-                // Collect every lane's window batch up front (one lock
-                // per lane per window), then drain slot-major: within a
-                // slot, mailboxes in lane order, so everything
-                // downstream — trace replay, cost folds, the ledger —
-                // sees plain edge-index order.
-                for (mailbox, slot_mail) in mailboxes.iter().zip(&mut window_mail) {
-                    let mut mail = lock(mailbox);
-                    debug_assert!(slot_mail.is_empty());
-                    *slot_mail = std::mem::take(&mut mail.ready);
-                    debug_assert_eq!(slot_mail.len(), len);
-                }
-
-                for (off, t) in (base..base + len).enumerate() {
-                    if off > 0 {
-                        span_enter(&mut profiler, "slot");
-                    }
-                    let (ctx, receipt) = match first_trade.take() {
-                        Some(first) => first,
-                        None => {
-                            let ctx = self.trade_context(t, cap_share);
-                            let (z, w) = policy.decide_trades(t, &ctx);
-                            let receipt = self.execute_trade(
-                                t,
-                                &ctx,
-                                z,
-                                w,
-                                trade_carry.as_mut(),
-                                &mut ledger,
-                                telemetry.as_deref_mut(),
-                            );
-                            (ctx, receipt)
-                        }
-                    };
-                    for slot_mail in &mut window_mail {
-                        let mail = &mut slot_mail[off];
-                        if let Some(rec) = telemetry.as_deref_mut() {
-                            replay_tele(rec, &mut mail.tele);
-                        }
-                        outcomes.append(&mut mail.outcomes);
-                        partials.append(&mut mail.partials);
-                    }
-                    let (record, observation) = self.reduce_slot(
-                        t,
-                        &ctx,
-                        &receipt,
-                        &outcomes,
-                        &partials,
-                        &mut ledger,
-                        cap_share,
-                    );
-                    if sharded {
-                        // The shards observed their own outcomes inside
-                        // the workers; only the trade side flows
-                        // through here.
-                        policy.observe_trade(t, &observation);
-                    } else {
-                        let feedback = SlotFeedback {
-                            edges: std::mem::take(&mut outcomes),
-                            trade: observation,
-                        };
-                        policy.end_of_slot(t, &feedback);
-                        outcomes = feedback.edges;
-                    }
-                    outcomes.clear();
-                    partials.clear();
-                    slots.push(record);
-                    span_exit(&mut profiler); // slot
-                }
-
-                // Hand the emptied buffers back for reuse.
-                for (mailbox, slot_mail) in mailboxes.iter().zip(&mut window_mail) {
-                    let mut mail = lock(mailbox);
-                    mail.spare.append(slot_mail);
-                }
-            }
-
-            let mut results = Vec::with_capacity(num_lanes);
-            for handle in handles {
-                match handle.join() {
-                    Ok(pair) => results.push(pair),
-                    Err(payload) => resume_unwind(payload),
-                }
-            }
-            results
-        });
-
-        let mut lanes = Vec::with_capacity(num_lanes);
-        let mut returned_shards = Vec::with_capacity(num_lanes);
-        for (lane_state, shard) in lane_results {
-            lanes.push(lane_state);
-            if let Some(shard) = shard {
-                returned_shards.push(shard);
-            }
-        }
-        if sharded {
-            policy.absorb_shards(returned_shards);
-        }
-        span_exit(&mut profiler); // run
-        self.finish_run(
-            policy,
-            ledger,
-            slots,
-            EdgeLanes::into_records(lanes),
-            trade_carry.as_ref(),
-            telemetry,
-            cap_share,
-        )
-    }
-
-    /// The body of one pool worker: wait for a whole window of slots
-    /// to be released, obtain the chunk's placements (from the owned
-    /// shard, or from the mailbox when the driver selects — then the
-    /// window is one slot), run select → serve → observe for every
-    /// slot of the window against pre-staged recycled buffers, publish
-    /// the batch, and bump the done gate **once per window** — the
-    /// amortization that makes short slots cheap to shard.
-    #[allow(clippy::too_many_arguments)]
-    fn worker_loop(
-        &self,
-        lane: &mut EdgeLanes,
-        mut shard: Option<&mut Box<dyn EdgeShard>>,
-        mailbox: &Mutex<LaneMail>,
-        cmd: &Gate,
-        done: &Gate,
-        shutdown: &AtomicBool,
-        traced: bool,
-        window: usize,
-    ) {
-        let horizon = self.config.horizon;
-        let mut placements: Vec<usize> = Vec::with_capacity(lane.len());
-        let mut ready: Vec<SlotMail> = Vec::with_capacity(window);
-        let mut spare: Vec<SlotMail> = Vec::with_capacity(window);
-        let num_windows = horizon.div_ceil(window);
-        for win in 0..num_windows {
-            let base = win * window;
-            let len = window.min(horizon - base);
-            cmd.wait_at_least((base + len) as u64);
-            if shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            {
-                let mut mail = lock(mailbox);
-                // Reclaim the buffers the driver emptied last window.
-                spare.append(&mut mail.spare);
-                if shard.is_none() {
-                    placements.clear();
-                    placements.extend_from_slice(&mail.placements);
-                }
-            }
-            for t in base..base + len {
-                let mut slot_mail = spare.pop().unwrap_or_default();
-                if let Some(shard) = shard.as_deref_mut() {
-                    shard.select_into(t, &mut placements);
-                    assert_eq!(
-                        placements.len(),
-                        lane.len(),
-                        "shard must place one model per owned edge"
-                    );
-                    for &n in &placements {
-                        assert!(n < self.zoo.len(), "model index out of range");
-                    }
-                }
-                let mut sink = if traced {
-                    TeleSink::Buffer(&mut slot_mail.tele)
-                } else {
-                    TeleSink::Silent
-                };
-                self.serve_chunk(
-                    t,
-                    lane,
-                    &placements,
-                    &mut sink,
-                    &mut slot_mail.outcomes,
-                    &mut slot_mail.partials,
-                );
-                if let Some(shard) = shard.as_deref_mut() {
-                    shard.observe(t, &slot_mail.outcomes);
-                }
-                ready.push(slot_mail);
-            }
-            {
-                let mut mail = lock(mailbox);
-                debug_assert!(mail.ready.is_empty());
-                std::mem::swap(&mut mail.ready, &mut ready);
-            }
-            done.add(1);
         }
     }
 
@@ -1835,71 +1351,6 @@ impl<'a> Environment<'a> {
         };
         (record, observation)
     }
-
-    /// Seals the run: settlement accounting, the [`RunRecord`], and the
-    /// end-of-run telemetry block. Shared verbatim by the sequential
-    /// and parallel paths.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_run(
-        &self,
-        policy: &mut dyn Policy,
-        ledger: AllowanceLedger,
-        slots: Vec<SlotRecord>,
-        edge_records: Vec<EdgeRecord>,
-        trade_carry: Option<&TradeCarry>,
-        telemetry: Option<&mut Recorder>,
-        cap_share: f64,
-    ) -> RunRecord {
-        let cfg = &self.config;
-        let settlement_cost =
-            ledger.violation().get() * cfg.violation_penalty * cfg.weights.money_per_cent;
-        let record = RunRecord {
-            policy: policy.name(),
-            slots,
-            edges: edge_records,
-            ledger,
-            cap_share,
-            settlement_cost,
-        };
-        if let Some(rec) = telemetry {
-            if let Some(schedule) = &self.faults {
-                rec.set_label("fault_scenario", schedule.scenario().name.clone());
-            }
-            if let Some(carry) = trade_carry {
-                // Unmet-position accounting: the ledger holds every
-                // executed allowance, the carry holds every unmet one,
-                // and `requested == executed + unmet` reconciles them
-                // (pinned by the fault ledger tests).
-                rec.gauge("faults.requested_buy", carry.requested_buy());
-                rec.gauge("faults.requested_sell", carry.requested_sell());
-                rec.gauge("faults.unmet_buy", carry.unmet_buy());
-                rec.gauge("faults.unmet_sell", carry.unmet_sell());
-            }
-            rec.incr("slots", cfg.horizon as u64);
-            let violation = record.violation();
-            rec.gauge("violation", violation);
-            rec.gauge("total_cost", record.total_cost());
-            rec.gauge("cap", cfg.cap.get());
-            rec.gauge("cap_share", cap_share);
-            rec.gauge("emissions", record.ledger.emitted().to_allowances().get());
-            rec.gauge("allowances.bought", record.ledger.bought().get());
-            rec.gauge("allowances.sold", record.ledger.sold().get());
-            rec.gauge("trade_cash", record.ledger.net_trading_cost().get());
-            rec.gauge("settlement_cost", record.settlement_cost);
-            if violation > 0.0 {
-                rec.event(
-                    None,
-                    "violation",
-                    &[
-                        ("allowances", violation.into()),
-                        ("settlement_cost", record.settlement_cost.into()),
-                    ],
-                );
-            }
-            policy.record_telemetry(rec);
-        }
-        record
-    }
 }
 
 /// Incremental per-slot driver of the run protocol; see
@@ -2080,11 +1531,6 @@ impl RunStepper {
     /// — buffered telemetry replayed first, outcomes and partials
     /// appended after — so every accumulation and every trace line
     /// happens in the same sequence as the single-lane path.
-    ///
-    /// Unlike the batch path, the stepper cannot batch slots into
-    /// epoch-gate windows: it is externally paced (a serve daemon
-    /// ingests arrivals between steps), so each step must return with
-    /// the slot fully reduced.
     fn serve_sharded(&mut self, env: &Environment, t: usize, mut telemetry: Option<&mut Recorder>) {
         let traced = telemetry.is_some();
         let Self {
@@ -2152,8 +1598,7 @@ impl RunStepper {
     }
 
     /// Seals the run: settlement accounting, the [`RunRecord`], and
-    /// the end-of-run telemetry block — identical to finishing a batch
-    /// run.
+    /// the end-of-run telemetry block.
     pub fn finish(
         self,
         env: &Environment,
@@ -2168,15 +1613,55 @@ impl RunStepper {
             trade_carry,
             ..
         } = self;
-        env.finish_run(
-            policy,
-            ledger,
+        let cfg = &env.config;
+        let settlement_cost =
+            ledger.violation().get() * cfg.violation_penalty * cfg.weights.money_per_cent;
+        let record = RunRecord {
+            policy: policy.name(),
             slots,
-            EdgeLanes::into_records(lanes),
-            trade_carry.as_ref(),
-            telemetry,
+            edges: EdgeLanes::into_records(lanes),
+            ledger,
             cap_share,
-        )
+            settlement_cost,
+        };
+        if let Some(rec) = telemetry {
+            if let Some(schedule) = &env.faults {
+                rec.set_label("fault_scenario", schedule.scenario().name.clone());
+            }
+            if let Some(carry) = &trade_carry {
+                // Unmet-position accounting: the ledger holds every
+                // executed allowance, the carry holds every unmet one,
+                // and `requested == executed + unmet` reconciles them
+                // (pinned by the fault ledger tests).
+                rec.gauge("faults.requested_buy", carry.requested_buy());
+                rec.gauge("faults.requested_sell", carry.requested_sell());
+                rec.gauge("faults.unmet_buy", carry.unmet_buy());
+                rec.gauge("faults.unmet_sell", carry.unmet_sell());
+            }
+            rec.incr("slots", cfg.horizon as u64);
+            let violation = record.violation();
+            rec.gauge("violation", violation);
+            rec.gauge("total_cost", record.total_cost());
+            rec.gauge("cap", cfg.cap.get());
+            rec.gauge("cap_share", cap_share);
+            rec.gauge("emissions", record.ledger.emitted().to_allowances().get());
+            rec.gauge("allowances.bought", record.ledger.bought().get());
+            rec.gauge("allowances.sold", record.ledger.sold().get());
+            rec.gauge("trade_cash", record.ledger.net_trading_cost().get());
+            rec.gauge("settlement_cost", record.settlement_cost);
+            if violation > 0.0 {
+                rec.event(
+                    None,
+                    "violation",
+                    &[
+                        ("allowances", violation.into()),
+                        ("settlement_cost", record.settlement_cost.into()),
+                    ],
+                );
+            }
+            policy.record_telemetry(rec);
+        }
+        record
     }
 
     /// Snapshots everything the stepper mutates as plain data, for a
@@ -2205,8 +1690,9 @@ impl RunStepper {
     ///
     /// # Errors
     /// Returns an error when the snapshot's shape does not match the
-    /// environment (edge count, horizon, fault-carry presence, or
-    /// per-edge model count).
+    /// environment (edge count, horizon, fault-carry presence, per-edge
+    /// model count, or a model index outside the zoo), or when a ledger
+    /// total is negative or not finite.
     pub fn restore_state(&mut self, env: &Environment, state: &StepperState) -> Result<(), String> {
         let num_edges: usize = self.lanes.iter().map(EdgeLanes::len).sum();
         if state.edges.len() != num_edges {
@@ -2234,6 +1720,31 @@ impl RunStepper {
                     "checkpoint counts {} models per edge but the zoo has {}",
                     edge.selection_counts.len(),
                     env.zoo.len()
+                ));
+            }
+            if let Some(n) = edge
+                .prev_model
+                .into_iter()
+                .chain(edge.pending_target)
+                .find(|&n| n >= env.zoo.len())
+            {
+                return Err(format!(
+                    "checkpoint names model {n} but the zoo has {}",
+                    env.zoo.len()
+                ));
+            }
+        }
+        let ledger = &state.ledger;
+        for (name, value) in [
+            ("bought", ledger.bought),
+            ("sold", ledger.sold),
+            ("emitted", ledger.emitted),
+            ("spent", ledger.spent),
+            ("earned", ledger.earned),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(format!(
+                    "checkpoint ledger total `{name}` is {value}, not a finite non-negative amount"
                 ));
             }
         }
@@ -2305,41 +1816,6 @@ pub struct EdgeServeState {
     pub selection_counts: Vec<u64>,
 }
 
-/// One slot's worth of one lane's serve output: fixed-size per-edge
-/// outcomes and cost partials plus buffered telemetry. Workers fill one
-/// per slot of their window; the driver drains them in lane order and
-/// recycles the emptied buffers.
-#[derive(Default)]
-struct SlotMail {
-    outcomes: Vec<EdgeSlotOutcome>,
-    partials: Vec<EdgePartial>,
-    tele: Vec<TeleOp>,
-}
-
-/// Worker ↔ driver exchange for one lane. The driver writes the lane's
-/// placement chunk before releasing a window (non-sharded policies
-/// only, where the window is one slot); the worker swaps in one
-/// [`SlotMail`] per slot of the window before bumping the done gate,
-/// and the driver hands the emptied buffers back through `spare` while
-/// draining — so the steady state allocates nothing. Each mailbox is
-/// wrapped in a [`CachePadded`] by the driver so neighbouring lanes'
-/// lock words and buffer headers never false-share a cache line.
-#[derive(Default)]
-struct LaneMail {
-    placements: Vec<usize>,
-    ready: Vec<SlotMail>,
-    spare: Vec<SlotMail>,
-}
-
-/// Locks a mutex, ignoring poisoning: lane mailboxes hold plain data,
-/// and a poisoned lock only means a sibling worker panicked — which the
-/// pool's own poison protocol reports with the original payload.
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2363,7 +1839,7 @@ mod tests {
     }
 
     /// Every span path of a profile with its entry count, depth-first.
-    pub(super) fn span_counts(prof: &Profiler) -> Vec<(String, u64)> {
+    fn span_counts(prof: &Profiler) -> Vec<(String, u64)> {
         let runs = cne_util::span::parse_profile_jsonl(&prof.to_jsonl_string()).expect("valid");
         runs[0]
             .spans
@@ -2435,7 +1911,7 @@ mod tests {
         let plain = env.run_traced(&mut Static(1), &mut rec_plain);
         let mut rec_prof = cne_util::telemetry::Recorder::new();
         let mut prof = Profiler::new();
-        let profiled = env.run_with(&mut Static(1), Some(&mut rec_prof), Some(&mut prof), 1);
+        let profiled = env.run_with(&mut Static(1), Some(&mut rec_prof), Some(&mut prof));
         assert_eq!(plain, profiled);
         assert_eq!(
             rec_plain.to_jsonl_string(),
@@ -2806,20 +2282,20 @@ mod fault_tests {
 #[cfg(test)]
 mod parallel_tests {
     use super::*;
-    use crate::policy::{EdgeShard, Policy, SlotFeedback};
+    use crate::policy::{Policy, SlotFeedback};
     use cne_faults::FaultScenario;
     use cne_nn::ZooConfig;
     use cne_simdata::dataset::TaskKind;
     use cne_trading::policy::TradeContext;
     use cne_util::units::Allowances;
-    use std::any::Any;
 
-    /// Same placement churn + trading as the fault tests: switches
-    /// every few slots and trades a fixed in-bounds position.
+    /// Same placement churn + trading as the fault tests, over
+    /// [`EDGES`] edges: switches every few slots and trades a fixed
+    /// in-bounds position.
     struct Churner;
     impl Policy for Churner {
         fn select_models(&mut self, t: usize) -> Vec<usize> {
-            vec![(t / 4) % 2; 3]
+            vec![(t / 4) % 2; EDGES]
         }
         fn decide_trades(&mut self, _t: usize, _ctx: &TradeContext) -> (Allowances, Allowances) {
             (Allowances::new(2.0), Allowances::new(0.5))
@@ -2830,6 +2306,16 @@ mod parallel_tests {
         }
     }
 
+    /// Enough edges that 3 and 4 lanes split them raggedly (3/3/4,
+    /// 2/3/2/3).
+    const EDGES: usize = 10;
+
+    fn cfg() -> SimConfig {
+        let mut cfg = SimConfig::fast_test(TaskKind::MnistLike);
+        cfg.num_edges = EDGES;
+        cfg
+    }
+
     fn zoo() -> ModelZoo {
         ModelZoo::train(
             TaskKind::MnistLike,
@@ -2838,9 +2324,20 @@ mod parallel_tests {
         )
     }
 
-    fn run_churner_at(env: &Environment, edge_threads: usize) -> (RunRecord, String) {
+    fn run_churner(env: &Environment) -> (RunRecord, String) {
         let mut rec = Recorder::new();
-        let record = env.run_with(&mut Churner, Some(&mut rec), None, edge_threads);
+        let record = env.run_traced(&mut Churner, &mut rec);
+        (record, rec.to_jsonl_string())
+    }
+
+    /// Steps the whole horizon on a stepper with `edge_threads` lanes.
+    fn step_churner_at(env: &Environment, edge_threads: usize) -> (RunRecord, String) {
+        let mut rec = Recorder::new();
+        let mut stepper = env.stepper(edge_threads);
+        for _ in 0..env.horizon() {
+            stepper.step(env, &mut Churner, Some(&mut rec), None);
+        }
+        let record = stepper.finish(env, &mut Churner, Some(&mut rec));
         (record, rec.to_jsonl_string())
     }
 
@@ -2848,15 +2345,10 @@ mod parallel_tests {
     fn worker_counts_agree_in_both_serve_modes() {
         let zoo = zoo();
         for mode in [ServeMode::Batched, ServeMode::PerRequest] {
-            let env = Environment::with_serve_mode(
-                SimConfig::fast_test(TaskKind::MnistLike),
-                &zoo,
-                &SeedSequence::new(52),
-                mode,
-            );
-            let (base, base_trace) = run_churner_at(&env, 1);
-            for edge_threads in [2, 4] {
-                let (record, trace) = run_churner_at(&env, edge_threads);
+            let env = Environment::with_serve_mode(cfg(), &zoo, &SeedSequence::new(52), mode);
+            let (base, base_trace) = run_churner(&env);
+            for edge_threads in [2, 3, 4] {
+                let (record, trace) = step_churner_at(&env, edge_threads);
                 assert_eq!(
                     base, record,
                     "records diverge at {edge_threads} edge threads ({mode:?})"
@@ -2874,13 +2366,13 @@ mod parallel_tests {
     fn worker_counts_agree_under_faults() {
         let zoo = zoo();
         for mode in [ServeMode::Batched, ServeMode::PerRequest] {
-            let mut cfg = SimConfig::fast_test(TaskKind::MnistLike);
+            let mut cfg = cfg();
             cfg.faults = Some(FaultScenario::mixed("mixed-20", 0.2));
             let env = Environment::with_serve_mode(cfg, &zoo, &SeedSequence::new(53), mode);
-            let (base, base_trace) = run_churner_at(&env, 1);
+            let (base, base_trace) = run_churner(&env);
             assert!(base_trace.contains("\"kind\":\"fault\""), "no fault events");
-            for edge_threads in [2, 4] {
-                let (record, trace) = run_churner_at(&env, edge_threads);
+            for edge_threads in [2, 3, 4] {
+                let (record, trace) = step_churner_at(&env, edge_threads);
                 assert_eq!(
                     base, record,
                     "faulted records diverge at {edge_threads} edge threads ({mode:?})"
@@ -2891,171 +2383,6 @@ mod parallel_tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn parallel_profiles_are_coarse_but_records_identical() {
-        let zoo = zoo();
-        let env = Environment::new(
-            SimConfig::fast_test(TaskKind::MnistLike),
-            &zoo,
-            &SeedSequence::new(54),
-        );
-        let mut rec_seq = Recorder::new();
-        let sequential = env.run_with(&mut Churner, Some(&mut rec_seq), None, 1);
-        let mut rec_par = Recorder::new();
-        let mut prof = Profiler::new();
-        let parallel = env.run_with(&mut Churner, Some(&mut rec_par), Some(&mut prof), 2);
-        assert_eq!(sequential, parallel);
-        assert_eq!(rec_seq.to_jsonl_string(), rec_par.to_jsonl_string());
-        // The parallel path keeps wall-clock spans coarse (run/slot
-        // only): per-stage spans would have to come off the worker
-        // threads, where they could not nest into one driver timeline.
-        assert_eq!(prof.open_depth(), 0);
-        assert_eq!(
-            super::tests::span_counts(&prof),
-            [("run".to_owned(), 1), ("run/slot".to_owned(), 40)]
-        );
-    }
-
-    /// Per-edge cumulative-loss state a shard can carry away.
-    #[derive(Debug, Clone, PartialEq, Default)]
-    struct EdgeState {
-        cum_loss: f64,
-        slots: usize,
-    }
-
-    /// A policy that *can* shard: selection and loss accumulation are
-    /// per-edge, only the trade side is global.
-    struct Shardable {
-        num_models: usize,
-        edges: Vec<EdgeState>,
-        trades_seen: usize,
-        panic_at: Option<usize>,
-    }
-    impl Shardable {
-        fn new(num_edges: usize, num_models: usize) -> Self {
-            Self {
-                num_models,
-                edges: vec![EdgeState::default(); num_edges],
-                trades_seen: 0,
-                panic_at: None,
-            }
-        }
-    }
-    impl Policy for Shardable {
-        fn select_models(&mut self, t: usize) -> Vec<usize> {
-            (0..self.edges.len())
-                .map(|i| (t + i) % self.num_models)
-                .collect()
-        }
-        fn decide_trades(&mut self, _t: usize, _ctx: &TradeContext) -> (Allowances, Allowances) {
-            (Allowances::new(1.0), Allowances::ZERO)
-        }
-        fn end_of_slot(&mut self, _t: usize, fb: &SlotFeedback) {
-            for (state, outcome) in self.edges.iter_mut().zip(&fb.edges) {
-                state.cum_loss += outcome.empirical_loss;
-                state.slots += 1;
-            }
-            self.trades_seen += 1;
-        }
-        fn name(&self) -> String {
-            "shardable".into()
-        }
-        fn shard_edges(&mut self, chunks: &[(usize, usize)]) -> Option<Vec<Box<dyn EdgeShard>>> {
-            let mut shards: Vec<Box<dyn EdgeShard>> = Vec::with_capacity(chunks.len());
-            for &(start, len) in chunks {
-                shards.push(Box::new(StateShard {
-                    start,
-                    num_models: self.num_models,
-                    edges: self.edges[start..start + len].to_vec(),
-                    panic_at: self.panic_at,
-                }));
-            }
-            self.edges.clear();
-            Some(shards)
-        }
-        fn absorb_shards(&mut self, shards: Vec<Box<dyn EdgeShard>>) {
-            let mut shards: Vec<StateShard> = shards
-                .into_iter()
-                .map(|s| *s.into_any().downcast::<StateShard>().unwrap())
-                .collect();
-            shards.sort_by_key(|s| s.start);
-            self.edges = shards.into_iter().flat_map(|s| s.edges).collect();
-        }
-        fn observe_trade(&mut self, _t: usize, _observation: &TradeObservation) {
-            self.trades_seen += 1;
-        }
-    }
-
-    struct StateShard {
-        start: usize,
-        num_models: usize,
-        edges: Vec<EdgeState>,
-        panic_at: Option<usize>,
-    }
-    impl EdgeShard for StateShard {
-        fn select_into(&mut self, t: usize, out: &mut Vec<usize>) {
-            if self.start > 0 && self.panic_at == Some(t) {
-                panic!("shard boom at slot {t}");
-            }
-            out.clear();
-            out.extend((0..self.edges.len()).map(|k| (t + self.start + k) % self.num_models));
-        }
-        fn observe(&mut self, t: usize, outcomes: &[EdgeSlotOutcome]) {
-            let _ = t;
-            for (state, outcome) in self.edges.iter_mut().zip(outcomes) {
-                state.cum_loss += outcome.empirical_loss;
-                state.slots += 1;
-            }
-        }
-        fn into_any(self: Box<Self>) -> Box<dyn Any> {
-            self
-        }
-    }
-
-    #[test]
-    fn sharded_policy_matches_sequential_run() {
-        let zoo = zoo();
-        let env = Environment::new(
-            SimConfig::fast_test(TaskKind::MnistLike),
-            &zoo,
-            &SeedSequence::new(55),
-        );
-        let (num_edges, num_models, horizon) = (env.num_edges(), env.num_models(), 40);
-        let mut rec_seq = Recorder::new();
-        let mut seq_policy = Shardable::new(num_edges, num_models);
-        let sequential = env.run_with(&mut seq_policy, Some(&mut rec_seq), None, 1);
-        assert_eq!(seq_policy.trades_seen, horizon);
-        for edge_threads in [2, 3] {
-            let mut rec_par = Recorder::new();
-            let mut par_policy = Shardable::new(num_edges, num_models);
-            let parallel = env.run_with(&mut par_policy, Some(&mut rec_par), None, edge_threads);
-            assert_eq!(
-                sequential, parallel,
-                "sharded run diverged at {edge_threads}"
-            );
-            assert_eq!(rec_seq.to_jsonl_string(), rec_par.to_jsonl_string());
-            // The shards' learning state survives the round trip intact.
-            assert_eq!(seq_policy.edges, par_policy.edges);
-            assert_eq!(par_policy.trades_seen, horizon, "driver skipped trades");
-        }
-        // The state actually accumulated something.
-        assert!(seq_policy.edges.iter().all(|e| e.slots == horizon));
-    }
-
-    #[test]
-    #[should_panic(expected = "shard boom at slot 3")]
-    fn worker_panic_propagates_without_deadlock() {
-        let zoo = zoo();
-        let env = Environment::new(
-            SimConfig::fast_test(TaskKind::MnistLike),
-            &zoo,
-            &SeedSequence::new(56),
-        );
-        let mut policy = Shardable::new(env.num_edges(), env.num_models());
-        policy.panic_at = Some(3);
-        env.run_with(&mut policy, None, None, 2);
     }
 }
 
@@ -3108,9 +2435,9 @@ mod streaming_tests {
             .collect()
     }
 
-    fn run_traced(env: &Environment, edge_threads: usize) -> (RunRecord, String) {
+    fn run_traced(env: &Environment) -> (RunRecord, String) {
         let mut rec = Recorder::new();
-        let record = env.run_with(&mut Churner, Some(&mut rec), None, edge_threads);
+        let record = env.run_traced(&mut Churner, &mut rec);
         (record, rec.to_jsonl_string())
     }
 
@@ -3178,8 +2505,8 @@ mod streaming_tests {
         for mode in [ServeMode::Batched, ServeMode::PerRequest] {
             let drawn = Environment::with_serve_mode(cfg.clone(), &zoo, &seed, mode);
             let replayed = Environment::with_arrival_trace(cfg.clone(), &zoo, &seed, mode, &raw);
-            let (rec_a, trace_a) = run_traced(&drawn, 1);
-            let (rec_b, trace_b) = run_traced(&replayed, 1);
+            let (rec_a, trace_a) = run_traced(&drawn);
+            let (rec_b, trace_b) = run_traced(&replayed);
             assert_eq!(rec_a, rec_b, "replay diverged from drawn run ({mode:?})");
             assert_eq!(trace_a, trace_b, "replay telemetry diverged ({mode:?})");
         }
@@ -3200,8 +2527,8 @@ mod streaming_tests {
                 streamed.ingest_slot(t, &row);
             }
             assert_eq!(streamed.ingested(), cfg.horizon);
-            let (rec_a, trace_a) = run_traced(&batch, 1);
-            let (rec_b, trace_b) = run_traced(&streamed, 1);
+            let (rec_a, trace_a) = run_traced(&batch);
+            let (rec_b, trace_b) = run_traced(&streamed);
             assert_eq!(rec_a, rec_b, "streamed run diverged from batch ({mode:?})");
             assert_eq!(trace_a, trace_b, "streamed telemetry diverged ({mode:?})");
         }
@@ -3215,7 +2542,7 @@ mod streaming_tests {
         let raw = raw_arrivals(&cfg);
         let batch =
             Environment::with_arrival_trace(cfg.clone(), &zoo, &seed, ServeMode::Batched, &raw);
-        let (want, want_trace) = run_traced(&batch, 1);
+        let (want, want_trace) = run_traced(&batch);
         // The serve-daemon shape: ingest slot t, then immediately run it.
         let mut env = Environment::streaming(cfg.clone(), &zoo, &seed, ServeMode::Batched);
         let mut stepper = env.stepper(1);
@@ -3237,7 +2564,7 @@ mod streaming_tests {
         for mode in [ServeMode::Batched, ServeMode::PerRequest] {
             let env =
                 Environment::with_serve_mode(faulty_cfg(), &zoo, &SeedSequence::new(65), mode);
-            let (want, want_trace) = run_traced(&env, 1);
+            let (want, want_trace) = run_traced(&env);
             for lanes in [2, 3] {
                 let mut stepper = env.stepper(lanes);
                 let mut policy = Churner;
@@ -3265,7 +2592,7 @@ mod streaming_tests {
             &SeedSequence::new(66),
             ServeMode::Batched,
         );
-        let (want, want_trace) = run_traced(&env, 1);
+        let (want, want_trace) = run_traced(&env);
         let horizon = env.horizon();
         for k in [1, horizon / 2, horizon - 1] {
             for resume_lanes in [1, 4] {

@@ -1,12 +1,12 @@
 //! Structure-of-arrays per-edge serve state and the buffered-telemetry
-//! plumbing behind the edge-sharded parallel run path.
+//! plumbing behind the stepper's edge lanes.
 //!
 //! [`EdgeLanes`] holds everything the serve loop mutates per edge —
 //! previous model, pending-download retry state, switch and selection
 //! counters, peak utilization — as parallel vectors over a contiguous
-//! chunk of edge indices. The sequential path uses one lane covering
-//! every edge; the parallel path splits the fleet into one lane per
-//! worker, each cache-contiguous and exclusively owned by its worker,
+//! chunk of edge indices. A one-lane stepper uses one lane covering
+//! every edge; a sharded stepper splits the fleet into one lane per
+//! worker, each cache-contiguous and served by one worker per slot,
 //! and reassembles the [`EdgeRecord`]s in edge order at the end of the
 //! run. Because both paths run the same serve code over the same
 //! layout, their records agree by construction.

@@ -28,9 +28,7 @@ pub mod queueing;
 pub mod record;
 
 pub use config::{CostWeights, SimConfig};
-pub use env::{
-    EdgeServeState, Environment, RunStepper, ServeMode, StepperState, DEFAULT_GATE_BATCH,
-};
-pub use policy::{EdgeShard, EdgeSlotOutcome, Policy, SlotFeedback};
+pub use env::{EdgeServeState, Environment, RunStepper, ServeMode, StepperState};
+pub use policy::{EdgeSlotOutcome, Policy, SlotFeedback};
 pub use queueing::QueueingConfig;
 pub use record::{RunRecord, SlotRecord};

@@ -1,7 +1,5 @@
 //! The control-policy interface the simulator drives.
 
-use std::any::Any;
-
 use cne_trading::policy::{TradeContext, TradeObservation};
 use cne_util::telemetry::Recorder;
 use cne_util::units::{Allowances, GramsCo2};
@@ -107,85 +105,6 @@ pub trait Policy {
     fn record_telemetry(&self, rec: &mut Recorder) {
         let _ = rec;
     }
-
-    /// Splits the policy's per-edge state into one [`EdgeShard`] per
-    /// contiguous chunk, for the edge-sharded parallel run path.
-    ///
-    /// `chunks[k] = (start, len)` partitions `0..num_edges` in order.
-    /// A policy that returns shards hands each worker exclusive
-    /// ownership of its edges' selection state: the simulator then
-    /// calls [`EdgeShard::select_into`] and [`EdgeShard::observe`] on
-    /// the worker threads, [`observe_trade`](Self::observe_trade) on
-    /// the driver, and [`absorb_shards`](Self::absorb_shards) once at
-    /// the end of the run. Policies whose selection is not separable
-    /// per edge keep the default (`None`); the simulator then keeps
-    /// calling [`select_models_into`](Self::select_models_into) and
-    /// [`end_of_slot`](Self::end_of_slot) on the driver thread and
-    /// parallelizes only the serve loop.
-    ///
-    /// # Window-autonomy contract
-    ///
-    /// Returning shards asserts more than per-edge separability: it
-    /// asserts that a shard's slot-`t` selection depends only on its
-    /// own prior [`select_into`](EdgeShard::select_into) /
-    /// [`observe`](EdgeShard::observe) history — never on the driver's
-    /// [`observe_trade`](Self::observe_trade) feedback. The parallel
-    /// driver exploits this to run workers for a whole *batch window*
-    /// of `K` slots (see `Environment::run_with_batch`) between gate
-    /// handshakes, delivering `observe_trade` for those slots only
-    /// after the window completes. A policy whose per-edge selection
-    /// reads trade feedback must keep the default (`None`) or its
-    /// sharded runs would diverge from sequential ones whenever the
-    /// batch window exceeds one slot.
-    fn shard_edges(&mut self, chunks: &[(usize, usize)]) -> Option<Vec<Box<dyn EdgeShard>>> {
-        let _ = chunks;
-        None
-    }
-
-    /// Reabsorbs the shards produced by
-    /// [`shard_edges`](Self::shard_edges) after the run (in arbitrary
-    /// order), restoring the policy for end-of-run telemetry. Only
-    /// called when `shard_edges` returned shards; the default
-    /// therefore panics.
-    fn absorb_shards(&mut self, shards: Vec<Box<dyn EdgeShard>>) {
-        let _ = shards;
-        panic!("absorb_shards called on a policy whose shard_edges returned None");
-    }
-
-    /// Receives the slot's trade observation while the policy is
-    /// sharded (the per-edge half of the feedback went to the shards
-    /// via [`EdgeShard::observe`]). Only called between
-    /// [`shard_edges`](Self::shard_edges) and
-    /// [`absorb_shards`](Self::absorb_shards); the default therefore
-    /// panics.
-    fn observe_trade(&mut self, t: usize, observation: &TradeObservation) {
-        let _ = (t, observation);
-        panic!("observe_trade called on a policy whose shard_edges returned None");
-    }
-}
-
-/// The per-edge half of a sharded [`Policy`]: selection state for one
-/// contiguous chunk of edges, exclusively owned by one worker thread
-/// for the duration of a run.
-///
-/// Per slot `t` the owning worker calls
-/// [`select_into`](Self::select_into), serves the chunk, and then
-/// [`observe`](Self::observe) with the chunk's outcomes (in chunk-local
-/// edge order). The shard never sees other chunks' outcomes or the
-/// trade observation — a policy whose learning needs either cannot
-/// shard and should leave [`Policy::shard_edges`] at its default.
-pub trait EdgeShard: Send {
-    /// Writes the chunk's placements for slot `t` into `out`
-    /// (`out[k]` = model for the chunk's `k`-th edge), replacing its
-    /// contents.
-    fn select_into(&mut self, t: usize, out: &mut Vec<usize>);
-
-    /// Reports the chunk's realized outcomes for slot `t`
-    /// (`outcomes[k]` belongs to the chunk's `k`-th edge).
-    fn observe(&mut self, t: usize, outcomes: &[EdgeSlotOutcome]);
-
-    /// Downcast support for [`Policy::absorb_shards`] implementations.
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
 #[cfg(test)]

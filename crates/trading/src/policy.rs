@@ -81,6 +81,14 @@ pub trait TradingPolicy {
         None
     }
 
+    /// The slot the policy expects to [`decide`](Self::decide) next,
+    /// for policies that track it. A resumed run checks it against the
+    /// checkpoint's slot. The default (policies that keep no slot
+    /// history) is `None`.
+    fn next_slot(&self) -> Option<usize> {
+        None
+    }
+
     /// Dumps end-of-run internal state (gauges under a `trader.`
     /// prefix) into a telemetry recorder. The default records nothing;
     /// stateful policies override it.

@@ -217,6 +217,12 @@ impl TradingPolicy for PrimalDual {
         Some(self.lambda)
     }
 
+    fn next_slot(&self) -> Option<usize> {
+        // `observe` appends one trajectory point per slot, and
+        // `import_state` only accepts trajectories over slots 0, 1, ….
+        Some(self.trajectory.len())
+    }
+
     fn record_telemetry(&self, rec: &mut cne_util::telemetry::Recorder) {
         for &(t, lambda) in &self.trajectory {
             rec.event(Some(t), "lambda", &[("value", lambda.into())]);
@@ -284,6 +290,12 @@ impl TradingPolicy for PrimalDual {
                 Ok((t, l))
             })
             .collect::<Result<Vec<_>, String>>()?;
+        if let Some(k) = (0..trajectory.len()).find(|&k| trajectory[k].0 != k as u64) {
+            return Err(format!(
+                "trajectory entry {k} is for slot {}, expected slot {k}",
+                trajectory[k].0
+            ));
+        }
         self.z_prev = float("z_prev")?;
         self.w_prev = float("w_prev")?;
         self.lambda = float("lambda")?;

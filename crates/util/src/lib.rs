@@ -28,9 +28,6 @@
 //! * [`span`] — a hierarchical wall-clock span profiler kept in a
 //!   stream separate from the deterministic telemetry trace, so
 //!   timing data never perturbs bit-identical trace output;
-//! * [`gate`] — a monotonic epoch gate (spin-then-park) for
-//!   phase-synchronized worker pools such as the simulator's per-run
-//!   edge shards;
 //! * [`pad`] — cache-line padding ([`pad::CachePadded`]) so per-worker
 //!   slots in shared allocations never false-share a line.
 //!
@@ -50,7 +47,6 @@
 
 pub mod crc;
 pub mod expo;
-pub mod gate;
 pub mod json;
 pub mod pad;
 pub mod rng;

@@ -1,13 +1,12 @@
 //! Cache-line padding for state shared across worker threads.
 //!
-//! When per-worker slots live in one contiguous allocation (a `Vec` of
-//! mailboxes, a `Vec` of per-lane scratch buffers), slots belonging to
+//! When per-worker slots live in one contiguous allocation (such as the
+//! simulator's `Vec` of per-lane scratch buffers), slots belonging to
 //! *different* workers can land on the same cache line. Every write
-//! then ping-pongs the line between cores — "false sharing" — which is
-//! exactly the kind of hidden synchronization an amortized epoch-gate
-//! protocol tries to remove. [`CachePadded`] aligns (and therefore
-//! pads) each slot to its own 128-byte block so a worker's writes
-//! never invalidate a neighbour's line.
+//! then ping-pongs the line between cores — "false sharing" — a hidden
+//! synchronization that eats the gain of sharding. [`CachePadded`]
+//! aligns (and therefore pads) each slot to its own 128-byte block so
+//! a worker's writes never invalidate a neighbour's line.
 //!
 //! 128 bytes covers the common cases: x86-64 prefetches cache lines in
 //! adjacent pairs and Apple silicon uses 128-byte lines outright, so a
