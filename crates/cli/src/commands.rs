@@ -6,7 +6,7 @@ use cne_core::combos::Combo;
 use cne_core::runner::{evaluate_many_with, EvalOptions, EvalReport, PolicySpec};
 use cne_edgesim::SimConfig;
 use cne_faults::FaultScenario;
-use cne_nn::{ModelZoo, ZooConfig};
+use cne_nn::{ModelZoo, ZooConfig, ZooKey};
 use cne_util::span::{profile_sidecar_path, Profiler};
 use cne_util::telemetry::Recorder;
 use cne_util::SeedSequence;
@@ -130,19 +130,24 @@ EXAMPLES:
     );
 }
 
-pub(crate) fn build_zoo(opts: &Options) -> ModelZoo {
-    let config = if opts.quick {
-        ZooConfig::fast()
-    } else {
-        ZooConfig::default()
-    };
-    eprintln!("training the {} model zoo…", opts.task.name());
-    let zoo = ModelZoo::train(opts.task, &config, &SeedSequence::new(2025));
-    if opts.quantized {
-        zoo.with_quantized_variants(8)
-    } else {
-        zoo
+/// What the CLI's zoo is a function of: the task, `--quick` and
+/// `--quantized`, over the fixed zoo seed.
+pub(crate) fn zoo_key(opts: &Options) -> ZooKey {
+    ZooKey {
+        task: opts.task,
+        config: if opts.quick {
+            ZooConfig::fast()
+        } else {
+            ZooConfig::default()
+        },
+        seed: SeedSequence::new(2025),
+        quantized_bits: opts.quantized.then_some(8),
     }
+}
+
+pub(crate) fn build_zoo(opts: &Options) -> ModelZoo {
+    eprintln!("training the {} model zoo…", opts.task.name());
+    zoo_key(opts).train()
 }
 
 pub(crate) fn build_config(opts: &Options) -> Result<SimConfig, String> {

@@ -28,11 +28,13 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cne_core::checkpoint::{load_zoo_snapshot, save_zoo_snapshot, zoo_snapshot_path};
 use cne_core::combos::Combo;
 use cne_core::wal::{self, Wal, WalOptions, WalRecord};
 use cne_core::wire::{self, WireMsg};
 use cne_core::{Checkpoint, ServeOptions, ServeSession};
 use cne_faults::WallRetry;
+use cne_nn::{ModelZoo, ZooKey};
 use cne_simdata::{ArrivalGen, ArrivalProcess};
 use cne_util::expo;
 use cne_util::json::Json;
@@ -41,7 +43,7 @@ use cne_util::SeedSequence;
 
 use crate::admin::{self, AdminState};
 use crate::args::Options;
-use crate::commands::{build_config, build_zoo, write_telemetry};
+use crate::commands::{build_config, build_zoo, write_telemetry, zoo_key};
 
 /// Interval at which the serve loop polls for shutdown signals while
 /// no request line is pending.
@@ -803,6 +805,32 @@ fn json_value(value: &Value) -> Json {
     }
 }
 
+/// The daemon's zoo, and whether it was loaded from a snapshot.
+///
+/// `--resume F` loads `F.zoo` when it is an intact snapshot of this
+/// invocation's zoo. Otherwise — and on every fresh start — the zoo is
+/// trained, and a rejected snapshot is reported as one
+/// `zoo_snapshot_rejected` event.
+fn obtain_zoo(opts: &Options, key: &ZooKey) -> (ModelZoo, bool) {
+    if let Some(resume) = &opts.resume {
+        let path = zoo_snapshot_path(Path::new(resume));
+        match load_zoo_snapshot(&path, key) {
+            Ok(zoo) => {
+                eprintln!("zoo          : loaded snapshot {}", path.display());
+                return (zoo, true);
+            }
+            Err(e) => eprintln!(
+                "{{\"event\":\"zoo_snapshot_rejected\",\"path\":{},\"kind\":\"{}\",\
+                 \"error\":{}}}",
+                Json::Str(path.display().to_string()).encode(),
+                e.kind(),
+                Json::Str(e.to_string()).encode()
+            ),
+        }
+    }
+    (build_zoo(opts), false)
+}
+
 /// The one-line structured startup banner, written to stderr so it
 /// never interleaves with the stdout summary or a piped trace.
 fn startup_banner(
@@ -811,6 +839,7 @@ fn startup_banner(
     run_seed: u64,
     scenario: Option<&str>,
     admin_addr: Option<&str>,
+    zoo_loaded: bool,
 ) {
     let opt_str = |v: Option<&str>| v.map_or(Json::Null, |s| Json::Str(s.to_owned()));
     let mut triggers = vec![Json::Str("slot_end".to_owned())];
@@ -826,6 +855,10 @@ fn startup_banner(
         ("seed".to_owned(), Json::UInt(run_seed)),
         ("scenario".to_owned(), opt_str(scenario)),
         ("serve_mode".to_owned(), Json::Str("batched".to_owned())),
+        (
+            "zoo".to_owned(),
+            Json::Str(if zoo_loaded { "snapshot" } else { "trained" }.to_owned()),
+        ),
         (
             "edge_threads".to_owned(),
             Json::UInt(opts.edge_threads.unwrap_or(1) as u64),
@@ -877,7 +910,16 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         config.horizon = slots;
         config.validate()?;
     }
-    let zoo = build_zoo(opts);
+    // Read the checkpoint before the zoo exists, so a bad one costs one
+    // error line rather than a zoo build first.
+    let checkpoint = match &opts.resume {
+        Some(path) if Path::new(path).exists() || opts.wal.is_none() => {
+            Some(Checkpoint::load(Path::new(path))?)
+        }
+        _ => None,
+    };
+    let key = zoo_key(opts);
+    let (zoo, zoo_loaded) = obtain_zoo(opts, &key);
     let scenario = config.faults.as_ref().map(|s| s.name.clone());
     let serve_opts = ServeOptions {
         edge_threads: opts.edge_threads.unwrap_or(1),
@@ -889,19 +931,18 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         ..ServeOptions::default()
     };
 
-    let mut run_seed = opts.seed;
-    let mut session = if let Some(path) = &opts.resume {
-        if Path::new(path).exists() || opts.wal.is_none() {
-            let ckpt = Checkpoint::load(Path::new(path))?;
-            run_seed = ckpt.seed;
-            let session = ServeSession::resume(config, &zoo, combo, &ckpt, &serve_opts)?;
+    let run_seed = checkpoint.as_ref().map_or(opts.seed, |c| c.seed);
+    let mut session = match (&opts.resume, &checkpoint) {
+        (Some(path), Some(ckpt)) => {
+            let session = ServeSession::resume(config, &zoo, combo, ckpt, &serve_opts)?;
             println!(
                 "resume       : slot {} of {} from {path}",
                 session.next_slot(),
                 session.horizon()
             );
             session
-        } else {
+        }
+        (Some(path), None) => {
             // The checkpoint never made it to disk (e.g. the daemon
             // died before the first --checkpoint-every boundary), but
             // the WAL holds every arrival: recover from slot 0.
@@ -912,8 +953,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
             );
             ServeSession::new(config, &zoo, opts.seed, combo, &serve_opts)
         }
-    } else {
-        ServeSession::new(config, &zoo, opts.seed, combo, &serve_opts)
+        (None, _) => ServeSession::new(config, &zoo, opts.seed, combo, &serve_opts),
     };
 
     // --- durability: open the WAL and replay its tail ---------------
@@ -975,6 +1015,18 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         }
     }
 
+    // A trained zoo goes beside the checkpoint for the next --resume.
+    // The snapshot only shortens that recovery, so a failed write is
+    // reported, not fatal.
+    if let (Some(checkpoint), false) = (&opts.checkpoint, zoo_loaded) {
+        let path = zoo_snapshot_path(Path::new(checkpoint));
+        if let Err(e) = save_zoo_snapshot(&path, &zoo, &key) {
+            eprintln!(
+                "{{\"event\":\"zoo_snapshot_unwritten\",\"error\":{}}}",
+                Json::Str(e).encode()
+            );
+        }
+    }
     signals::install();
     let admin_state = opts
         .admin
@@ -994,6 +1046,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         run_seed,
         scenario.as_deref(),
         admin_addr.as_deref(),
+        zoo_loaded,
     );
     // Publish an initial page so `/metrics` is never empty, even
     // before the first slot closes.

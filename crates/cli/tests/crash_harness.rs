@@ -226,9 +226,35 @@ fn resume_run(dir: &Path, waldir: &Path, ckpt: &Path, edge_threads: &str) -> (Ou
     (output, std::fs::read(&out).expect("resumed telemetry"))
 }
 
+/// The `serve_start` banner's `zoo` field: `"snapshot"` when the
+/// daemon loaded its zoo, `"trained"` when it trained it.
+fn zoo_source(stderr: &str) -> String {
+    let banner = stderr
+        .lines()
+        .find(|l| l.contains("\"event\":\"serve_start\""))
+        .unwrap_or_else(|| panic!("no serve_start banner in {stderr}"));
+    let banner = cne_util::json::parse(banner).expect("the banner is JSON");
+    banner
+        .get("zoo")
+        .and_then(Json::as_str)
+        .expect("the banner names the zoo's source")
+        .to_owned()
+}
+
+/// Asserts that a resumed daemon loaded the zoo snapshot instead of
+/// retraining.
+fn assert_loaded_snapshot(resumed: &Output, context: &str) {
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert_eq!(zoo_source(&stderr), "snapshot", "{context}: {stderr}");
+    assert!(
+        !stderr.contains("training the") && !stderr.contains("zoo_snapshot_rejected"),
+        "{context}: the resumed daemon retrained: {stderr}"
+    );
+}
+
 /// SIGKILL at seeded random stream offsets, across fsync policies and
 /// resume edge-thread counts: recovery is always byte-identical to the
-/// uninterrupted run.
+/// uninterrupted run, and loads the zoo snapshot instead of retraining.
 #[test]
 fn sigkill_recovery_is_bit_identical() {
     let seed = chaos_seed();
@@ -261,12 +287,13 @@ fn sigkill_recovery_is_bit_identical() {
             kill_after,
             &waldir,
         );
-        let (_, trace) = resume_run(&dir, &waldir, &ckpt, threads);
-        assert_eq!(
-            trace, reference,
-            "telemetry diverged after SIGKILL at line {kill_after} \
-             (chaos seed {seed:#x}, wal-sync={wal_sync}, resume threads {threads})"
+        let (resumed, trace) = resume_run(&dir, &waldir, &ckpt, threads);
+        let context = format!(
+            "SIGKILL at line {kill_after} (chaos seed {seed:#x}, wal-sync={wal_sync}, \
+             resume threads {threads})"
         );
+        assert_loaded_snapshot(&resumed, &context);
+        assert_eq!(trace, reference, "telemetry diverged after {context}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -352,7 +379,8 @@ fn group_commit_burst_survives_sigkill() {
         "group-committed record must replay per-line accounting"
     );
 
-    let (_, trace) = resume_run(&dir, &waldir, &ckpt, "4");
+    let (resumed, trace) = resume_run(&dir, &waldir, &ckpt, "4");
+    assert_loaded_snapshot(&resumed, "SIGKILL mid group-committed burst");
     assert_eq!(
         trace, reference,
         "telemetry diverged after SIGKILL mid group-committed burst"
@@ -362,14 +390,16 @@ fn group_commit_burst_survives_sigkill() {
 
 /// Injected crash points inside the storage layer itself — a torn WAL
 /// append, a torn checkpoint temp file, a fully written but un-renamed
-/// checkpoint — all recover bit-identically, and the torn WAL tail is
-/// reported (then truncated), never a panic.
+/// checkpoint, a torn zoo snapshot temp file — all recover
+/// bit-identically, and the torn WAL tail is reported (then truncated),
+/// never a panic. Only the torn snapshot makes the resume retrain.
 #[test]
 fn injected_crash_points_recover_bit_identically() {
     let cases = [
         ("wal-torn-append:5", true),
         ("ckpt-torn-tmp:1", false),
         ("ckpt-pre-rename:2", false),
+        ("zoo-torn-tmp:1", false),
     ];
     for (spec, expect_torn) in cases {
         let tag = spec.split(':').next().expect("point");
@@ -404,9 +434,79 @@ fn injected_crash_points_recover_bit_identically() {
                 "{spec}: torn tail not reported in {resumed_err}"
             );
         }
+        if tag == "zoo-torn-tmp" {
+            assert_eq!(zoo_source(&resumed_err), "trained", "{spec}");
+            assert_eq!(
+                snapshot_rejections(&resumed_err),
+                ["missing"],
+                "{spec}: {resumed_err}"
+            );
+        } else {
+            assert_loaded_snapshot(&resumed, spec);
+        }
         assert_eq!(trace, reference, "telemetry diverged after {spec}");
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// The `kind` of every `zoo_snapshot_rejected` stderr event, in order.
+fn snapshot_rejections(stderr: &str) -> Vec<String> {
+    stderr
+        .lines()
+        .filter(|l| l.contains("\"event\":\"zoo_snapshot_rejected\""))
+        .map(|l| {
+            let event = cne_util::json::parse(l).expect("rejection events are JSON");
+            event
+                .get("kind")
+                .and_then(Json::as_str)
+                .expect("kind")
+                .to_owned()
+        })
+        .collect()
+}
+
+/// A zoo snapshot with one flipped byte is rejected — one structured
+/// event — and the resumed daemon retrains, serves the reference trace
+/// and rewrites the snapshot byte-for-byte as the fresh start wrote it.
+#[test]
+fn corrupt_zoo_snapshot_is_rejected_and_retrained() {
+    let dir = temp_dir("zoo-flip");
+    let reference = reference_trace(&dir);
+    let waldir = dir.join("wal");
+    let ckpt = dir.join("state.ckpt");
+    let snapshot = dir.join("state.ckpt.zoo");
+    let lines = full_stream();
+    run_and_kill(
+        serve_cmd(&[
+            "--checkpoint",
+            ckpt.to_str().expect("utf-8 path"),
+            "--checkpoint-every",
+            "3",
+            "--wal",
+            waldir.to_str().expect("utf-8 path"),
+            "--telemetry",
+            dir.join("chaos.jsonl").to_str().expect("utf-8 path"),
+        ]),
+        &lines,
+        lines.len() / 2,
+        &waldir,
+    );
+
+    let written = std::fs::read(&snapshot).expect("the fresh daemon wrote its zoo snapshot");
+    let mut flipped = written.clone();
+    flipped[written.len() / 2] ^= 0x40;
+    std::fs::write(&snapshot, &flipped).expect("flip a byte");
+    let (resumed, trace) = resume_run(&dir, &waldir, &ckpt, "1");
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert_eq!(snapshot_rejections(&stderr), ["corrupt"], "{stderr}");
+    assert!(stderr.contains("training the"), "{stderr}");
+    assert_eq!(zoo_source(&stderr), "trained");
+    assert_eq!(trace, reference, "telemetry diverged after a retrain");
+    assert!(
+        std::fs::read(&snapshot).expect("rewritten snapshot") == written,
+        "the retrained zoo must replace the corrupt snapshot with identical bytes"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Startup refusals: a fresh (non-`--resume`) start refuses to clobber

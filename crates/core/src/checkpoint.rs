@@ -19,11 +19,14 @@
 //! byte-stable and checkpoints can be diffed and committed as test
 //! fixtures. See `SERVING.md` for the operator-facing specification.
 
-use std::path::Path;
+use std::fs::File;
+use std::io::{BufReader, BufWriter, Write};
+use std::path::{Path, PathBuf};
 
 use cne_edgesim::{EdgeServeState, ServeMode, SlotRecord, StepperState};
 use cne_faults::TradeCarryParts;
 use cne_market::LedgerParts;
+use cne_nn::{ModelZoo, SnapshotError, ZooKey};
 use cne_util::json::Json;
 
 use crate::crashpoint;
@@ -39,6 +42,87 @@ fn sync_parent_dir(path: &Path) -> Result<(), String> {
             .map_err(|e| format!("cannot fsync {}: {e}", parent.display()))?;
     }
     Ok(())
+}
+
+/// `path` with `suffix` appended to its file name (`a.ckpt` →
+/// `a.ckpt.zoo`), so derived names never collide with each other.
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(suffix);
+    PathBuf::from(name)
+}
+
+/// Replaces `path` with what `write` produces, atomically **and
+/// durably**: the bytes go to the sibling `path.tmp`, which is fsynced
+/// before it is renamed over `path`, and the parent directory is
+/// fsynced after the rename. A crash — including power loss — leaves
+/// either the old file or the new one, never a truncated or unlinked
+/// in-between.
+///
+/// `crash` names the chaos-drill crash points of this write:
+/// `{crash}-torn-tmp` and `{crash}-pre-rename` (see [`crashpoint`]).
+fn replace_durably(
+    path: &Path,
+    crash: &str,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let tmp = with_suffix(path, ".tmp");
+    let file = File::create(&tmp).map_err(|e| format!("cannot create {}: {e}", tmp.display()))?;
+    let mut out = BufWriter::new(file);
+    let file = write(&mut out)
+        .and_then(|()| {
+            out.into_inner()
+                .map_err(std::io::IntoInnerError::into_error)
+        })
+        .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
+    let torn = format!("{crash}-torn-tmp");
+    if crashpoint::hit_auto(&torn) {
+        // Chaos drill: die with a half-written tmp file on disk.
+        // Recovery must ignore it (the rename never happened).
+        let len = file.metadata().map_or(0, |m| m.len());
+        let _ = file.set_len(len / 2);
+        let _ = file.sync_all();
+        crashpoint::crash(&torn);
+    }
+    // An atomic rename only helps if the *contents* are already on
+    // disk: rename durability does not imply data durability.
+    file.sync_all()
+        .map_err(|e| format!("cannot fsync {}: {e}", tmp.display()))?;
+    drop(file);
+    let pre_rename = format!("{crash}-pre-rename");
+    if crashpoint::hit_auto(&pre_rename) {
+        // Chaos drill: full tmp on disk, old file still in place.
+        // Recovery must use the old file.
+        crashpoint::crash(&pre_rename);
+    }
+    std::fs::rename(&tmp, path)
+        .map_err(|e| format!("cannot move {} into {}: {e}", tmp.display(), path.display()))?;
+    sync_parent_dir(path)
+}
+
+/// Where the zoo snapshot of checkpoint `path` lives: `path.zoo`.
+#[must_use]
+pub fn zoo_snapshot_path(checkpoint: &Path) -> PathBuf {
+    with_suffix(checkpoint, ".zoo")
+}
+
+/// Writes `zoo`'s snapshot (see [`cne_nn::snapshot`]) to `path`
+/// atomically and durably, streaming it through a buffered writer.
+///
+/// # Errors
+/// Returns a message naming the path on any I/O failure.
+pub fn save_zoo_snapshot(path: &Path, zoo: &ModelZoo, key: &ZooKey) -> Result<(), String> {
+    replace_durably(path, "zoo", |out| zoo.write_snapshot(key, out))
+}
+
+/// Loads the snapshot at `path` of the zoo `key` describes.
+///
+/// # Errors
+/// Returns the typed reason — missing, truncated, corrupt, another
+/// version or another zoo — when the file is not an intact snapshot
+/// written under `key`.
+pub fn load_zoo_snapshot(path: &Path, key: &ZooKey) -> Result<ModelZoo, SnapshotError> {
+    ModelZoo::read_snapshot(key, BufReader::new(File::open(path)?))
 }
 
 /// The `format` tag every checkpoint document carries.
@@ -387,8 +471,8 @@ impl Checkpoint {
     }
 
     /// Parses a checkpoint document, validating the format tag,
-    /// version, and internal consistency (slot counter vs. arrivals
-    /// vs. completed records, per-slot edge counts).
+    /// version, and internal consistency (slot counter vs. horizon,
+    /// arrivals and completed records; per-slot edge counts).
     ///
     /// # Errors
     /// Returns a human-readable message when the document is not a
@@ -423,7 +507,13 @@ impl Checkpoint {
             }
         };
         let num_edges = get_usize(meta, "num_edges")?;
+        let horizon = get_usize(meta, "horizon")?;
         let slot = get_usize(&doc, "slot")?;
+        if slot > horizon {
+            return Err(format!(
+                "corrupt checkpoint: slot {slot} is past the run's horizon {horizon}"
+            ));
+        }
         let stepper = stepper_from_json(get(&doc, "stepper")?)?;
         if stepper.next_slot != slot {
             return Err(format!(
@@ -476,7 +566,7 @@ impl Checkpoint {
             policy: get_str(meta, "policy")?,
             serve_mode: serve_mode_from_name(&get_str(meta, "serve_mode")?)?,
             fault_scenario,
-            horizon: get_usize(meta, "horizon")?,
+            horizon,
             num_edges,
             arrivals,
             stepper,
@@ -485,43 +575,13 @@ impl Checkpoint {
         })
     }
 
-    /// Writes the checkpoint to `path` atomically **and durably**: the
-    /// sibling temporary file is fsynced before the rename, and the
-    /// parent directory is fsynced after it, so a crash — including
-    /// power loss — leaves either the old checkpoint or the new one,
-    /// never a truncated or unlinked in-between.
+    /// Writes the checkpoint to `path` atomically and durably (the
+    /// sibling `path.tmp` is fsynced and renamed over `path`).
     ///
     /// # Errors
     /// Returns a message naming the path on any I/O failure.
     pub fn save(&self, path: &Path) -> Result<(), String> {
-        use std::io::Write as _;
-
-        let tmp = path.with_extension("tmp");
-        let encoded = self.encode().into_bytes();
-        let mut file = std::fs::File::create(&tmp)
-            .map_err(|e| format!("cannot create {}: {e}", tmp.display()))?;
-        if crashpoint::hit_auto("ckpt-torn-tmp") {
-            // Chaos drill: die with a half-written tmp file on disk.
-            // Recovery must ignore it (the rename never happened).
-            let _ = file.write_all(&encoded[..encoded.len() / 2]);
-            let _ = file.sync_all();
-            crashpoint::crash("ckpt-torn-tmp");
-        }
-        file.write_all(&encoded)
-            .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-        // An atomic rename only helps if the *contents* are already on
-        // disk: rename durability does not imply data durability.
-        file.sync_all()
-            .map_err(|e| format!("cannot fsync {}: {e}", tmp.display()))?;
-        drop(file);
-        if crashpoint::hit_auto("ckpt-pre-rename") {
-            // Chaos drill: full tmp on disk, old checkpoint still in
-            // place. Recovery must use the old checkpoint + WAL tail.
-            crashpoint::crash("ckpt-pre-rename");
-        }
-        std::fs::rename(&tmp, path)
-            .map_err(|e| format!("cannot move checkpoint into {}: {e}", path.display()))?;
-        sync_parent_dir(path)
+        replace_durably(path, "ckpt", |out| out.write_all(self.encode().as_bytes()))
     }
 
     /// Reads and parses a checkpoint from `path`.

@@ -15,8 +15,10 @@
 //! | point | effect at occurrence `N` |
 //! |---|---|
 //! | `wal-torn-append` | writes a prefix of the frame, then aborts |
-//! | `ckpt-torn-tmp` | writes a prefix of the checkpoint tmp, then aborts |
+//! | `ckpt-torn-tmp` | leaves half of the checkpoint tmp on disk, then aborts |
 //! | `ckpt-pre-rename` | writes + fsyncs the full tmp, aborts before rename |
+//! | `zoo-torn-tmp` | leaves half of the zoo snapshot tmp on disk, then aborts |
+//! | `zoo-pre-rename` | writes + fsyncs the full snapshot tmp, aborts before rename |
 //!
 //! When the variable is unset (every production run), the fast path is
 //! a single relaxed atomic load of a cached parse — no environment

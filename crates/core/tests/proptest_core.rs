@@ -2,7 +2,9 @@
 //! expressible combo runs cleanly on arbitrary short horizons and
 //! seeds, placements are always well-formed, the accounting
 //! identities of the run record hold, and serve-daemon checkpoints
-//! are byte-stable through serialize → deserialize → serialize.
+//! are byte-stable through serialize → deserialize → serialize, while
+//! arbitrary or damaged checkpoint bytes parse to an error, never a
+//! panic.
 
 use std::sync::OnceLock;
 
@@ -26,6 +28,22 @@ fn shared_zoo() -> &'static ModelZoo {
             &ZooConfig::fast(),
             &SeedSequence::new(9000),
         )
+    })
+}
+
+/// One valid checkpoint document, taken mid-run under faults.
+fn valid_checkpoint() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let mut cfg = SimConfig::fast_test(TaskKind::MnistLike);
+        cfg.horizon = 12;
+        cfg.faults = Some(cne_faults::FaultScenario::mixed("mixed-20", 0.2));
+        let opts = ServeOptions::default();
+        let mut session = ServeSession::new(cfg.clone(), shared_zoo(), 5, Combo::ours(), &opts);
+        for t in 0..6 {
+            session.push_slot(&vec![(t as u64 * 7) % 5; cfg.num_edges]);
+        }
+        session.checkpoint().expect("Ours must checkpoint").encode()
     })
 }
 
@@ -154,5 +172,26 @@ proptest! {
             .expect("resume");
         let reexported = resumed.checkpoint().expect("re-checkpoint").encode();
         prop_assert_eq!(reexported, text, "restore → export must reproduce the bytes");
+    }
+
+    /// Arbitrary bytes are never a checkpoint.
+    #[test]
+    fn checkpoint_parse_rejects_arbitrary_bytes(
+        bytes in proptest::collection::vec(0u8..=255, 0..512),
+    ) {
+        prop_assert!(Checkpoint::parse(&String::from_utf8_lossy(&bytes)).is_err());
+    }
+
+    /// A valid checkpoint cut short is an error; one with a byte
+    /// replaced parses or errors, but never panics.
+    #[test]
+    fn damaged_checkpoints_never_panic(frac in 0.0..1.0f64, byte in 0u8..=255) {
+        let text = valid_checkpoint();
+        // The document ends in "}\n": any shorter prefix is incomplete.
+        let at = (frac * (text.len() - 1) as f64) as usize;
+        prop_assert!(Checkpoint::parse(&text[..at]).is_err());
+        let mut bytes = text.as_bytes().to_vec();
+        bytes[at] = byte;
+        let _ = Checkpoint::parse(&String::from_utf8_lossy(&bytes));
     }
 }

@@ -341,6 +341,35 @@ fn resume_rejects_corrupted_run_state() {
     }
 }
 
+/// A checkpoint whose slot lies past its own horizon is refused when
+/// it is parsed. Resume used to accept it and then panic while
+/// re-ingesting the rows past the horizon.
+#[test]
+fn checkpoint_past_its_horizon_is_refused() {
+    let (zoo, cfg) = setup();
+    let arrivals = raw_arrivals(&cfg, SEED);
+    let opts = ServeOptions::default();
+    let mut session = ServeSession::new(cfg.clone(), &zoo, SEED, Combo::ours(), &opts);
+    for t in 0..6 {
+        session.push_slot(&slot_row(&arrivals, t));
+    }
+    let text = session.checkpoint().expect("checkpoint").encode();
+    let edited = text.replacen(&format!("\"horizon\":{}", cfg.horizon), "\"horizon\":4", 1);
+    assert_ne!(edited, text, "the edit must apply");
+    match Checkpoint::parse(&edited) {
+        Err(e) => assert!(e.contains("slot 6 is past the run's horizon 4"), "{e}"),
+        Ok(ckpt) => {
+            let mut short = cfg;
+            short.horizon = 4;
+            let resumed = ServeSession::resume(short, &zoo, Combo::ours(), &ckpt, &opts);
+            panic!(
+                "a checkpoint past its horizon parsed, and resume returned {:?}",
+                resumed.map(|_| ())
+            );
+        }
+    }
+}
+
 #[test]
 fn resume_rejects_mismatched_invocations() {
     let (zoo, cfg) = setup();

@@ -68,6 +68,28 @@ impl Layer {
         }
     }
 
+    /// The layer's parameter tensors as flat slices — weights, then
+    /// bias — or `None` for a parameter-free layer. Zoo snapshots
+    /// export weights through this.
+    #[must_use]
+    pub fn params(&self) -> Option<[&[f64]; 2]> {
+        match self {
+            Layer::Dense(l) => Some([l.weight.as_slice(), &l.bias]),
+            Layer::Conv1d(l) => Some([l.weight.as_slice(), &l.bias]),
+            Layer::Relu(_) | Layer::MaxPool1d(_) => None,
+        }
+    }
+
+    /// Mutable [`Layer::params`]: zoo snapshots import weights and
+    /// post-training quantization rewrites them through this.
+    pub fn params_mut(&mut self) -> Option<[&mut [f64]; 2]> {
+        match self {
+            Layer::Dense(l) => Some([l.weight.as_mut_slice(), &mut l.bias]),
+            Layer::Conv1d(l) => Some([l.weight.as_mut_slice(), &mut l.bias]),
+            Layer::Relu(_) | Layer::MaxPool1d(_) => None,
+        }
+    }
+
     /// Output feature width given the input width this layer was built
     /// for.
     #[must_use]
@@ -125,16 +147,6 @@ impl Dense {
     #[must_use]
     pub fn weight(&self) -> &Matrix {
         &self.weight
-    }
-
-    /// Mutable weight matrix (used by post-training quantization).
-    pub fn weight_mut(&mut self) -> &mut Matrix {
-        &mut self.weight
-    }
-
-    /// Mutable bias vector (used by post-training quantization).
-    pub fn bias_mut(&mut self) -> &mut [f64] {
-        &mut self.bias
     }
 
     fn forward(&mut self, x: &Matrix) -> Matrix {
@@ -261,16 +273,6 @@ impl Conv1d {
     #[must_use]
     pub fn out_len(&self) -> usize {
         self.len - self.kernel + 1
-    }
-
-    /// Mutable weight matrix (used by post-training quantization).
-    pub fn weight_mut(&mut self) -> &mut Matrix {
-        &mut self.weight
-    }
-
-    /// Mutable bias vector (used by post-training quantization).
-    pub fn bias_mut(&mut self) -> &mut [f64] {
-        &mut self.bias
     }
 
     fn forward(&mut self, x: &Matrix) -> Matrix {

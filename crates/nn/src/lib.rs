@@ -14,6 +14,8 @@
 //! * [`train`] — mini-batch SGD trainer;
 //! * [`quantize`] — post-training weight quantization (the paper's
 //!   future-work extension for larger edge models);
+//! * [`snapshot`] — versioned, CRC-framed zoo snapshots, so a restart
+//!   loads the trained zoo instead of retraining it;
 //! * [`zoo`] — builds and trains the six-model zoo per task and
 //!   precomputes each model's per-sample loss/correctness table over the
 //!   test pool, so the simulator can evaluate streams by table lookup
@@ -41,9 +43,11 @@ pub mod loss;
 pub mod matrix;
 pub mod network;
 pub mod quantize;
+pub mod snapshot;
 pub mod train;
 pub mod zoo;
 
 pub use matrix::Matrix;
 pub use network::Network;
+pub use snapshot::{SnapshotError, ZooKey};
 pub use zoo::{ModelProfile, ModelZoo, TrainedModel, ZooConfig};

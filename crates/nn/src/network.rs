@@ -100,10 +100,18 @@ impl Network {
         self.input_width
     }
 
-    /// Mutable access to the layer stack (used by post-training
-    /// quantization).
-    pub fn layers_mut(&mut self) -> &mut [crate::layer::Layer] {
-        &mut self.layers
+    /// Every parameter tensor, layer by layer (weights, then bias), in
+    /// a fixed order that depends only on the architecture.
+    pub fn params(&self) -> impl Iterator<Item = &[f64]> {
+        self.layers.iter().filter_map(Layer::params).flatten()
+    }
+
+    /// Mutable [`Network::params`], in the same order.
+    pub fn params_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+        self.layers
+            .iter_mut()
+            .filter_map(Layer::params_mut)
+            .flatten()
     }
 
     /// Width of the logits layer.

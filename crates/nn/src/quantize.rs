@@ -12,7 +12,6 @@
 //! controller trade accuracy against carbon exactly as the paper
 //! envisions.
 
-use crate::layer::Layer;
 use crate::matrix::Matrix;
 use crate::network::Network;
 
@@ -34,18 +33,12 @@ fn quantize_value(v: f64, scale: f64) -> f64 {
 /// # Panics
 /// Panics if `bits < 2` (a 1-bit symmetric grid has no non-zero level).
 pub fn quantize_matrix(m: &mut Matrix, bits: u32) {
-    assert!(bits >= 2, "need at least 2 bits for a symmetric grid");
-    let levels = ((1u64 << (bits - 1)) - 1) as f64;
-    let max = m.as_slice().iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
-    if max == 0.0 {
-        return;
-    }
-    let scale = max / levels;
-    m.map_inplace(|v| quantize_value(v, scale));
+    quantize_slice(m.as_mut_slice(), bits);
 }
 
-/// Quantizes a bias vector in place.
+/// Quantizes a parameter tensor in place with its own scale.
 fn quantize_slice(xs: &mut [f64], bits: u32) {
+    assert!(bits >= 2, "need at least 2 bits for a symmetric grid");
     let levels = ((1u64 << (bits - 1)) - 1) as f64;
     let max = xs.iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
     if max == 0.0 {
@@ -54,27 +47,6 @@ fn quantize_slice(xs: &mut [f64], bits: u32) {
     let scale = max / levels;
     for v in xs {
         *v = quantize_value(*v, scale);
-    }
-}
-
-impl Layer {
-    /// Quantizes this layer's parameters (no-op for parameter-free
-    /// layers).
-    ///
-    /// # Panics
-    /// Panics if `bits < 2`.
-    pub fn quantize(&mut self, bits: u32) {
-        match self {
-            Layer::Dense(l) => {
-                quantize_matrix(l.weight_mut(), bits);
-                quantize_slice(l.bias_mut(), bits);
-            }
-            Layer::Conv1d(l) => {
-                quantize_matrix(l.weight_mut(), bits);
-                quantize_slice(l.bias_mut(), bits);
-            }
-            Layer::Relu(_) | Layer::MaxPool1d(_) => {}
-        }
     }
 }
 
@@ -95,8 +67,8 @@ impl Network {
     #[must_use]
     pub fn quantized(&self, bits: u32) -> Network {
         let mut out = self.clone();
-        for layer in out.layers_mut() {
-            layer.quantize(bits);
+        for tensor in out.params_mut() {
+            quantize_slice(tensor, bits);
         }
         out
     }

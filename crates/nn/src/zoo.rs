@@ -130,6 +130,18 @@ impl EvalTable {
         self.losses.iter().sum::<f64>() / self.losses.len() as f64
     }
 
+    /// Every pool sample's loss.
+    #[must_use]
+    pub fn losses(&self) -> &[f64] {
+        &self.losses
+    }
+
+    /// Every pool sample's correctness.
+    #[must_use]
+    pub fn correct(&self) -> &[bool] {
+        &self.correct
+    }
+
     /// Pool accuracy.
     #[must_use]
     pub fn accuracy(&self) -> f64 {
@@ -208,15 +220,15 @@ impl ZooConfig {
 }
 
 /// Specification of one zoo member.
-struct ModelSpec {
-    name: &'static str,
-    family: ModelFamily,
+pub(crate) struct ModelSpec {
+    pub(crate) name: &'static str,
+    pub(crate) family: ModelFamily,
     nominal_size_mb: f64,
-    build: fn(dim: usize, classes: usize, seed: SeedSequence) -> Network,
+    pub(crate) build: fn(dim: usize, classes: usize, seed: SeedSequence) -> Network,
 }
 
 /// The paper's six-model taxonomy, instantiated per task dimensionality.
-fn zoo_specs() -> [ModelSpec; 6] {
+pub(crate) fn zoo_specs() -> [ModelSpec; 6] {
     [
         ModelSpec {
             name: "cnn-small",
@@ -280,9 +292,8 @@ impl ModelZoo {
     /// task data, then evaluates every model on the shared test pool.
     #[must_use]
     pub fn train(kind: TaskKind, config: &ZooConfig, seed: &SeedSequence) -> Self {
-        let task = GaussianMixtureTask::new(kind, seed.derive("task"));
+        let (task, pool) = task_and_pool(kind, config.pool_samples, seed);
         let train_data = task.generate(config.train_samples, &seed.derive("train-data"));
-        let pool = task.generate(config.pool_samples, &seed.derive("test-pool"));
         let (pool_x, pool_y) = to_matrix(&pool);
 
         let specs = zoo_specs();
@@ -338,6 +349,11 @@ impl ModelZoo {
                 }
             })
             .collect();
+        Self { kind, models, pool }
+    }
+
+    /// Assembles a zoo from already-trained models (a loaded snapshot).
+    pub(crate) fn from_parts(kind: TaskKind, models: Vec<TrainedModel>, pool: Dataset) -> Self {
         Self { kind, models, pool }
     }
 
@@ -409,7 +425,7 @@ impl ModelZoo {
             let mut network = base.network.quantized(bits);
             let eval = evaluate(&mut network, &pool_x, &pool_y);
             let profile = ModelProfile {
-                name: format!("{}-q{bits}", base.profile.name),
+                name: quantized_name(&base.profile.name, bits),
                 family: base.profile.family,
                 size: base.profile.size * size_factor,
                 base_latency: base.profile.base_latency * compute_factor,
@@ -445,6 +461,24 @@ impl ModelZoo {
         }
         best
     }
+}
+
+/// Name of the `bits`-bit quantized variant of model `base`.
+pub(crate) fn quantized_name(base: &str, bits: u32) -> String {
+    format!("{base}-q{bits}")
+}
+
+/// The task and its shared test pool: a pure function of `(kind, pool
+/// size, seed)`, so a snapshot regenerates the pool instead of storing
+/// it.
+pub(crate) fn task_and_pool(
+    kind: TaskKind,
+    pool_samples: usize,
+    seed: &SeedSequence,
+) -> (GaussianMixtureTask, Dataset) {
+    let task = GaussianMixtureTask::new(kind, seed.derive("task"));
+    let pool = task.generate(pool_samples, &seed.derive("test-pool"));
+    (task, pool)
 }
 
 /// Evaluates a network over the pool in batches, producing the table.
