@@ -758,27 +758,25 @@ fn bench_wal(
     reps: usize,
     entries: &mut Vec<BenchEntry>,
 ) {
-    use cne_core::wal::{self, SyncPolicy, Wal, WalOptions, WalRecord};
+    use cne_core::wal::{self, GroupCommit, SyncPolicy, Wal, WalOptions, WalRecord};
 
     const SEED: u64 = 7;
     let edges = config.num_edges;
     let horizon = config.horizon;
-    // The daemon's record stream: one arrivals frame per non-empty
-    // request line, one close per slot.
-    let records: Vec<WalRecord> = arrivals
-        .iter()
-        .enumerate()
-        .flat_map(|(t, row)| {
-            row.iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(move |(e, &c)| WalRecord::Arrivals {
-                    slot: t as u64,
-                    pairs: vec![(e as u64, c)],
-                })
-                .chain(std::iter::once(WalRecord::SlotClose { slot: t as u64 }))
-        })
-        .collect();
+    // The daemon's record stream when each slot's lines (one per edge
+    // with traffic) arrive in one block: one group-committed sums frame
+    // and one close per slot.
+    let mut batch = GroupCommit::new(edges);
+    let mut records = Vec::new();
+    for (t, row) in arrivals.iter().enumerate() {
+        for (e, &c) in row.iter().enumerate() {
+            if c > 0 {
+                batch.add(e, c);
+            }
+        }
+        records.extend(batch.take(t as u64));
+        records.push(WalRecord::SlotClose { slot: t as u64 });
+    }
     let dir = std::env::temp_dir().join(format!("cne-bench-wal-{}", std::process::id()));
 
     let mut append_us = Vec::with_capacity(reps);

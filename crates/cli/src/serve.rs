@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use cne_core::checkpoint::{load_zoo_snapshot, save_zoo_snapshot, zoo_snapshot_path};
 use cne_core::combos::Combo;
-use cne_core::wal::{self, Wal, WalOptions, WalRecord};
+use cne_core::wal::{self, AppendError, GroupCommit, Wal, WalOptions, WalRecord};
 use cne_core::wire::{self, WireMsg};
 use cne_core::{Checkpoint, ServeOptions, ServeSession};
 use cne_faults::WallRetry;
@@ -484,13 +484,19 @@ impl Durability {
         }
         let Some(wal) = self.wal.as_mut() else { return };
         let retry = self.retry;
-        let result = retry.run(
-            || wal.append(record),
-            |attempt, err, delay| {
-                ops.record_wal_retry();
-                eprintln!("{}", retry_event("wal_retry", attempt, delay, err));
-            },
-        );
+        // Only I/O failures are retried; an oversized frame never fits.
+        let result = retry
+            .run(
+                || match wal.append(record) {
+                    Err(AppendError::Io(e)) => Err(e),
+                    other => Ok(other),
+                },
+                |attempt, err, delay| {
+                    ops.record_wal_retry();
+                    eprintln!("{}", retry_event("wal_retry", attempt, delay, err));
+                },
+            )
+            .and_then(|appended| appended.map_err(String::from));
         if let Err(e) = result {
             self.degrade(ops, &format!("WAL append failed: {e}"));
         }
@@ -990,7 +996,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
             if !tail.is_empty() {
                 println!(
                     "wal          : replayed {} closed slot(s) and {} open-slot \
-                     batch(es) from {dir}",
+                     line(s) from {dir}",
                     tail.closed.len(),
                     tail.open_lines
                 );
@@ -1060,11 +1066,12 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         session.num_edges()
     );
 
+    let num_edges = session.num_edges();
     let (open, requests_in_slot) = match wal_seed_open {
         // The WAL tail ended mid-slot: pre-seed the accumulator with
         // the arrivals already acknowledged for the open slot.
         Some((recovered, lines)) => (recovered, lines as usize),
-        None => (vec![0; session.num_edges()], 0),
+        None => (vec![0; num_edges], 0),
     };
     let mut daemon = SlotLoop {
         opts,
@@ -1073,7 +1080,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         dur,
         open,
         requests_in_slot,
-        pending: Vec::new(),
+        pending: GroupCommit::new(num_edges),
         bad_lines: 0,
         deadline: opts
             .slot_ms
@@ -1121,11 +1128,11 @@ struct SlotLoop<'a> {
     open: Vec<u64>,
     /// Request lines accepted into the open slot (`--slot-requests`).
     requests_in_slot: usize,
-    /// Group-commit buffer: arrival pairs applied to `open` but not yet
-    /// WAL-appended. Flushed as one multi-pair record at every block
-    /// boundary and before anything that closes, checkpoints, or ends
-    /// the slot (see [`SlotLoop::flush_arrivals`]).
-    pending: Vec<(u64, u64)>,
+    /// Group-commit buffer: the per-edge sums of the lines applied to
+    /// `open` but not yet WAL-appended. Flushed as one `ArrivalSums`
+    /// record at every block boundary and before anything that closes,
+    /// checkpoints, or ends the slot (see [`SlotLoop::flush_arrivals`]).
+    pending: GroupCommit,
     /// Wire lines rejected so far (`--max-bad-lines`).
     bad_lines: u64,
     /// When the open slot closes by wall clock (`--slot-ms`).
@@ -1234,11 +1241,11 @@ impl SlotLoop<'_> {
             };
             let close = match msg {
                 WireMsg::Request { edge, count } => {
-                    // Write-ahead at batch granularity: the pair joins
-                    // the group-commit buffer now and is WAL-appended
-                    // (one multi-pair record) before the slot closes
+                    // Write-ahead at batch granularity: the line joins
+                    // the group-commit sums now and is WAL-appended
+                    // (one record per flush) before the slot closes
                     // or the block ends.
-                    self.pending.push((edge as u64, count));
+                    self.pending.add(edge, count);
                     self.open[edge] += count;
                     self.requests_in_slot += 1;
                     self.opts
@@ -1277,25 +1284,18 @@ impl SlotLoop<'_> {
         Ok(())
     }
 
-    /// Flushes the group-commit buffer: every applied-but-unlogged
-    /// arrival pair of the open slot goes out as one multi-pair WAL
-    /// record. The write-ahead invariant holds at batch granularity —
+    /// Flushes the group-commit buffer: the applied-but-unlogged lines
+    /// of the open slot go out as one `ArrivalSums` WAL record. The
+    /// write-ahead invariant holds at batch granularity —
     /// a flush always precedes the slot close, checkpoint, shutdown
     /// sync, or fatal exit that would otherwise leave the log behind
     /// the applied state — so recovery still replays a clean prefix of
     /// the stream, and a hard kill can lose at most the current
     /// block's tail.
     fn flush_arrivals(&mut self) {
-        if self.pending.is_empty() {
-            return;
+        if let Some(record) = self.pending.take(self.session.next_slot() as u64) {
+            self.dur.append(&record, &mut self.ops);
         }
-        self.dur.append(
-            &WalRecord::Arrivals {
-                slot: self.session.next_slot() as u64,
-                pairs: std::mem::take(&mut self.pending),
-            },
-            &mut self.ops,
-        );
     }
 
     /// Ingests the open slot into the session, resets the accumulator

@@ -300,10 +300,10 @@ fn sigkill_recovery_is_bit_identical() {
 
 /// SIGKILL immediately after a group-committed burst: a batch of
 /// request lines delivered as one pipe write lands in the WAL as a
-/// single multi-pair `Arrivals` record (the group commit must actually
-/// happen, not degrade to per-line appends), the surviving log is a
-/// clean record prefix, and resuming from it reproduces the reference
-/// telemetry byte-for-byte.
+/// single `ArrivalSums` record of per-edge sums (the group commit must
+/// actually happen, not degrade to per-line appends), the surviving
+/// log is a clean record prefix, and resuming from it reproduces the
+/// reference telemetry byte-for-byte.
 #[test]
 fn group_commit_burst_survives_sigkill() {
     let dir = temp_dir("group-commit");
@@ -363,12 +363,14 @@ fn group_commit_burst_survives_sigkill() {
     drop(stdin);
 
     // The surviving log is a readable prefix and the burst was group
-    // committed: at least one Arrivals record carries several pairs.
+    // committed: at least one ArrivalSums record covers several lines,
+    // with at most one pair per edge.
     let recovery = wal::read_records(&waldir).expect("clean WAL prefix after SIGKILL");
     assert!(
         recovery.records.iter().any(|r| matches!(
             r,
-            wal::WalRecord::Arrivals { pairs, .. } if pairs.len() > 1
+            wal::WalRecord::ArrivalSums { lines, pairs, .. }
+                if *lines > 1 && pairs.windows(2).all(|w| w[0].0 < w[1].0)
         )),
         "burst was not group committed: {:?}",
         recovery.records

@@ -4,7 +4,7 @@
 //! Checkpoints bound what a crash can lose to a `--checkpoint-every`
 //! window; the WAL closes that window to (at most) the last un-synced
 //! frame. The daemon appends every *input* of the deterministic run —
-//! arrival batches, slot-close markers, checkpoint-installed markers —
+//! arrival sums, slot-close markers, checkpoint-installed markers —
 //! before applying it, so the durable state is always
 //!
 //! ```text
@@ -13,7 +13,8 @@
 //! ```
 //!
 //! and recovery is bit-identical to the uninterrupted run because the
-//! simulator is a pure function of its inputs.
+//! simulator is a pure function of its inputs: the per-slot, per-edge
+//! request counts and nothing finer.
 //!
 //! # On-disk format
 //!
@@ -23,10 +24,22 @@
 //!
 //! ```text
 //! frame   := len:u32-le  crc:u32-le  payload[len]     (crc over payload)
-//! payload := 0x01 slot:u64-le n:u32-le (edge:u64-le count:u64-le)*n   arrivals
+//! payload := 0x01 slot:u64-le n:u32-le (edge:u64-le count:u64-le)*n   arrivals (read only)
 //!          | 0x02 slot:u64-le                                          slot close
 //!          | 0x03 slot:u64-le                                          checkpoint installed
+//!          | 0x04 slot:u64-le lines:u64-le n:u32-le (edge:u64-le sum:u64-le)*n
+//!                                                                      arrival sums
 //! ```
+//!
+//! The daemon group-commits its input: a [`GroupCommit`] buffer sums
+//! the request lines of one flush (a transport block, or the part of
+//! one before a slot closes) per edge, and each flush appends one
+//! `0x04` frame. Its pairs are in strictly ascending edge order, one
+//! per edge with a non-zero sum, and `lines` counts every line the
+//! frame covers, zero-count ones included. A frame is therefore
+//! 29 + 16·(edges touched) bytes, whatever the line count. `0x01`
+//! frames, one `(edge, count)` pair per request line, are what earlier
+//! daemons wrote; replay still reads them, and a log may mix the two.
 //!
 //! On open, the **last** segment is scanned and truncated at the first
 //! torn or corrupt frame (a crash mid-append legitimately leaves one);
@@ -57,8 +70,11 @@ use cne_util::crc::crc32;
 
 use crate::crashpoint;
 
-/// Frames larger than this are rejected as corrupt rather than
-/// allocated: a legitimate arrival batch is a few dozen bytes.
+/// Largest payload a frame may carry. The reader treats a longer frame
+/// as corrupt rather than allocating it, so [`Wal::append`] refuses to
+/// write one. A daemon frame covers at most one 256 KiB transport
+/// block of wire lines of at least 11 bytes each, so it touches at
+/// most about 24 000 edges and stays under 400 KB.
 pub const MAX_FRAME_BYTES: u32 = 1 << 20;
 
 /// Default segment-rotation threshold.
@@ -122,11 +138,47 @@ impl Default for WalOptions {
     }
 }
 
+/// Why [`Wal::append`] wrote nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AppendError {
+    /// The record encodes to more than [`MAX_FRAME_BYTES`]. Recovery
+    /// would read the frame as corrupt and truncate the log there, so
+    /// it is never written; retrying cannot help.
+    FrameTooLarge {
+        /// The encoded payload size.
+        payload_bytes: usize,
+    },
+    /// An I/O failure (rotation, write or fsync); worth a retry.
+    Io(String),
+}
+
+impl std::fmt::Display for AppendError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::FrameTooLarge { payload_bytes } => write!(
+                f,
+                "WAL record of {payload_bytes} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit"
+            ),
+            Self::Io(e) => f.write_str(e),
+        }
+    }
+}
+
+impl std::error::Error for AppendError {}
+
+impl From<AppendError> for String {
+    fn from(e: AppendError) -> Self {
+        e.to_string()
+    }
+}
+
 /// One durable record: an input of the deterministic run, or a marker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
     /// Raw arrivals accumulated into the (still open) slot `slot`:
-    /// `(edge, count)` pairs, additive within the slot.
+    /// `(edge, count)` pairs, additive within the slot, one per
+    /// request line. Earlier daemons wrote these; the daemon now
+    /// writes [`WalRecord::ArrivalSums`].
     Arrivals {
         /// The open slot the arrivals belong to.
         slot: u64,
@@ -144,6 +196,27 @@ pub enum WalRecord {
         /// The checkpoint's `next_slot`.
         slot: u64,
     },
+    /// One group commit into the open slot `slot`: the per-edge sums
+    /// of `lines` request lines. Built by [`GroupCommit::take`].
+    ArrivalSums {
+        /// The open slot the arrivals belong to.
+        slot: u64,
+        /// Request lines the record covers, zero-count lines included
+        /// (the daemon's `--slot-requests` counter).
+        lines: u64,
+        /// `(edge index, summed count)` pairs in strictly ascending
+        /// edge order, without zero sums.
+        pairs: Vec<(u64, u64)>,
+    },
+}
+
+fn put_pairs(out: &mut Vec<u8>, pairs: &[(u64, u64)]) {
+    out.reserve(4 + 16 * pairs.len());
+    out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+    for (edge, count) in pairs {
+        out.extend_from_slice(&edge.to_le_bytes());
+        out.extend_from_slice(&count.to_le_bytes());
+    }
 }
 
 impl WalRecord {
@@ -153,11 +226,13 @@ impl WalRecord {
             Self::Arrivals { slot, pairs } => {
                 out.push(0x01);
                 out.extend_from_slice(&slot.to_le_bytes());
-                out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-                for (edge, count) in pairs {
-                    out.extend_from_slice(&edge.to_le_bytes());
-                    out.extend_from_slice(&count.to_le_bytes());
-                }
+                put_pairs(&mut out, pairs);
+            }
+            Self::ArrivalSums { slot, lines, pairs } => {
+                out.push(0x04);
+                out.extend_from_slice(&slot.to_le_bytes());
+                out.extend_from_slice(&lines.to_le_bytes());
+                put_pairs(&mut out, pairs);
             }
             Self::SlotClose { slot } => {
                 out.push(0x02);
@@ -178,24 +253,30 @@ impl WalRecord {
         };
         let tag = cursor.u8()?;
         let record = match tag {
-            0x01 => {
-                let slot = cursor.u64()?;
-                let n = cursor.u32()?;
-                if u64::from(n) > (payload.len() as u64) / 16 {
-                    return Err(format!("arrival batch claims {n} pairs beyond the frame"));
-                }
-                let mut pairs = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    pairs.push((cursor.u64()?, cursor.u64()?));
-                }
-                Self::Arrivals { slot, pairs }
-            }
+            0x01 => Self::Arrivals {
+                slot: cursor.u64()?,
+                pairs: cursor.pairs()?,
+            },
             0x02 => Self::SlotClose {
                 slot: cursor.u64()?,
             },
             0x03 => Self::CheckpointInstalled {
                 slot: cursor.u64()?,
             },
+            0x04 => {
+                let slot = cursor.u64()?;
+                let lines = cursor.u64()?;
+                let pairs = cursor.pairs()?;
+                if lines == 0 || pairs.len() as u64 > lines {
+                    return Err(format!("{} edge sums from {lines} lines", pairs.len()));
+                }
+                if pairs.iter().any(|&(_, sum)| sum == 0)
+                    || pairs.windows(2).any(|w| w[0].0 >= w[1].0)
+                {
+                    return Err("arrival sums not in ascending non-zero edge order".to_owned());
+                }
+                Self::ArrivalSums { slot, lines, pairs }
+            }
             other => return Err(format!("unknown record tag 0x{other:02x}")),
         };
         if cursor.at != payload.len() {
@@ -248,6 +329,77 @@ impl Cursor<'_> {
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
+
+    /// `n:u32` then `n` `(u64, u64)` pairs; `n` is checked against the
+    /// bytes left before anything is allocated.
+    fn pairs(&mut self) -> Result<Vec<(u64, u64)>, String> {
+        let n = self.u32()?;
+        if u64::from(n) > ((self.buf.len() - self.at) / 16) as u64 {
+            return Err(format!("record claims {n} pairs beyond the frame"));
+        }
+        let mut pairs = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            pairs.push((self.u64()?, self.u64()?));
+        }
+        Ok(pairs)
+    }
+}
+
+/// The daemon's group-commit buffer: the per-edge sums of the request
+/// lines applied since the last flush, and how many lines that was.
+/// [`GroupCommit::take`] turns it into one [`WalRecord::ArrivalSums`]
+/// in time proportional to the edges touched, not the fleet size.
+#[derive(Debug)]
+pub struct GroupCommit {
+    /// Per-edge sums; zero for every edge not in `touched`.
+    sums: Vec<u64>,
+    /// Edges with a non-zero sum, in first-touch order.
+    touched: Vec<usize>,
+    lines: u64,
+}
+
+impl GroupCommit {
+    /// An empty buffer for a fleet of `num_edges` edges.
+    #[must_use]
+    pub fn new(num_edges: usize) -> Self {
+        Self {
+            sums: vec![0; num_edges],
+            touched: Vec::new(),
+            lines: 0,
+        }
+    }
+
+    /// Adds one request line of `count` arrivals at `edge`.
+    ///
+    /// # Panics
+    /// Panics when `edge` is outside the fleet.
+    pub fn add(&mut self, edge: usize, count: u64) {
+        self.lines += 1;
+        let sum = &mut self.sums[edge];
+        if *sum == 0 && count > 0 {
+            self.touched.push(edge);
+        }
+        *sum = sum.saturating_add(count);
+    }
+
+    /// Empties the buffer into the record for the open slot `slot`, or
+    /// `None` when no line arrived since the last take.
+    pub fn take(&mut self, slot: u64) -> Option<WalRecord> {
+        if self.lines == 0 {
+            return None;
+        }
+        self.touched.sort_unstable();
+        let pairs = self
+            .touched
+            .drain(..)
+            .map(|edge| (edge as u64, std::mem::take(&mut self.sums[edge])))
+            .collect();
+        Some(WalRecord::ArrivalSums {
+            slot,
+            lines: std::mem::take(&mut self.lines),
+            pairs,
+        })
+    }
 }
 
 /// Where and why a scan stopped short of a segment's physical end.
@@ -285,10 +437,8 @@ pub struct WalTail {
     /// `start_slot + closed.len()`.
     pub open: Vec<u64>,
     /// Request lines recorded for the open slot (the daemon's
-    /// `--slot-requests` counter). A group-committed `Arrivals` record
-    /// contributes one line per `(edge, count)` pair — the daemon
-    /// coalesces a burst of lines into a single record, and replay
-    /// must recover the same per-line accounting.
+    /// `--slot-requests` counter): an `ArrivalSums` record contributes
+    /// its `lines`, an `Arrivals` record one line per pair.
     pub open_lines: u64,
 }
 
@@ -336,6 +486,41 @@ pub fn dir_has_segments(dir: &Path) -> bool {
     list_segments(dir).is_ok_and(|segments| !segments.is_empty())
 }
 
+/// Decodes the frames of one segment's bytes into `records`, stopping
+/// at the first torn or corrupt frame: its offset and the reason.
+fn scan_frames(bytes: &[u8], records: &mut Vec<WalRecord>) -> Option<(usize, String)> {
+    let mut at: usize = 0;
+    while at < bytes.len() {
+        let rest = &bytes[at..];
+        if rest.len() < 8 {
+            return Some((at, format!("{} trailing header bytes", rest.len())));
+        }
+        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
+        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
+        if len == 0 || len > MAX_FRAME_BYTES {
+            return Some((at, format!("implausible frame length {len}")));
+        }
+        let Some(payload) = rest.get(8..8 + len as usize) else {
+            return Some((
+                at,
+                format!(
+                    "frame claims {len} payload bytes, {} remain",
+                    rest.len() - 8
+                ),
+            ));
+        };
+        if crc32(payload) != crc {
+            return Some((at, "CRC mismatch".to_owned()));
+        }
+        match WalRecord::decode_payload(payload) {
+            Ok(record) => records.push(record),
+            Err(reason) => return Some((at, reason)),
+        }
+        at += 8 + payload.len();
+    }
+    None
+}
+
 /// Scans one segment. A bad frame in the last segment is a torn tail
 /// (returned); in any earlier segment it is corruption (an error).
 fn read_segment(
@@ -347,43 +532,11 @@ fn read_segment(
     File::open(path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
         .map_err(|e| io_err("read WAL segment", path, &e))?;
-    let mut at: usize = 0;
-    let torn = loop {
-        if at == bytes.len() {
-            break None;
-        }
-        let bad = |reason: String| TornTail {
-            segment: path.to_path_buf(),
-            offset: at as u64,
-            reason,
-        };
-        if bytes.len() - at < 8 {
-            break Some(bad(format!("{} trailing header bytes", bytes.len() - at)));
-        }
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
-        if len == 0 || len > MAX_FRAME_BYTES {
-            break Some(bad(format!("implausible frame length {len}")));
-        }
-        let Some(end) = (at + 8)
-            .checked_add(len as usize)
-            .filter(|&e| e <= bytes.len())
-        else {
-            break Some(bad(format!(
-                "frame claims {len} payload bytes, {} remain",
-                bytes.len() - at - 8
-            )));
-        };
-        let payload = &bytes[at + 8..end];
-        if crc32(payload) != crc {
-            break Some(bad("CRC mismatch".to_owned()));
-        }
-        match WalRecord::decode_payload(payload) {
-            Ok(record) => records.push(record),
-            Err(reason) => break Some(bad(reason)),
-        }
-        at = end;
-    };
+    let torn = scan_frames(&bytes, records).map(|(offset, reason)| TornTail {
+        segment: path.to_path_buf(),
+        offset: offset as u64,
+        reason,
+    });
     match torn {
         Some(tail) if !is_last => Err(format!(
             "WAL segment {} is corrupt at byte {} ({}) and is not the last segment — \
@@ -507,13 +660,19 @@ impl Wal {
     /// process never loses an acknowledged record.
     ///
     /// # Errors
-    /// Returns a message on any I/O failure; the caller decides
-    /// whether to retry or degrade.
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), String> {
-        if self.segment_bytes >= self.options.segment_bytes {
-            self.rotate()?;
-        }
+    /// [`AppendError::FrameTooLarge`] when the record would not fit in
+    /// one frame (nothing is written), [`AppendError::Io`] on any I/O
+    /// failure; the caller decides whether to retry or degrade.
+    pub fn append(&mut self, record: &WalRecord) -> Result<(), AppendError> {
         let payload = record.encode_payload();
+        if payload.len() > MAX_FRAME_BYTES as usize {
+            return Err(AppendError::FrameTooLarge {
+                payload_bytes: payload.len(),
+            });
+        }
+        if self.segment_bytes >= self.options.segment_bytes {
+            self.rotate().map_err(AppendError::Io)?;
+        }
         let mut frame = Vec::with_capacity(8 + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&payload).to_le_bytes());
@@ -526,10 +685,10 @@ impl Wal {
             let _ = self.file.sync_all();
             crashpoint::crash("wal-torn-append");
         }
-        let path = segment_path(&self.dir, self.segment);
-        self.file
-            .write_all(&frame)
-            .map_err(|e| io_err("append to WAL segment", &path, &e))?;
+        self.file.write_all(&frame).map_err(|e| {
+            let path = segment_path(&self.dir, self.segment);
+            AppendError::Io(io_err("append to WAL segment", &path, &e))
+        })?;
         self.segment_bytes += frame.len() as u64;
         let must_sync = match self.options.sync {
             SyncPolicy::Every => true,
@@ -537,7 +696,7 @@ impl Wal {
             SyncPolicy::Off => false,
         };
         if must_sync {
-            self.sync()?;
+            self.sync().map_err(AppendError::Io)?;
         }
         Ok(())
     }
@@ -623,7 +782,7 @@ pub fn replay(records: &[WalRecord], num_edges: usize, start_slot: u64) -> Resul
     let mut cursor = start_slot;
     for record in records {
         match record {
-            WalRecord::Arrivals { slot, pairs } => {
+            WalRecord::Arrivals { slot, pairs } | WalRecord::ArrivalSums { slot, pairs, .. } => {
                 if *slot < start_slot {
                     continue;
                 }
@@ -642,7 +801,11 @@ pub fn replay(records: &[WalRecord], num_edges: usize, start_slot: u64) -> Resul
                         })?;
                     *lane = lane.saturating_add(*count);
                 }
-                tail.open_lines += pairs.len() as u64;
+                let lines = match record {
+                    WalRecord::ArrivalSums { lines, .. } => *lines,
+                    _ => pairs.len() as u64,
+                };
+                tail.open_lines = tail.open_lines.saturating_add(lines);
             }
             WalRecord::SlotClose { slot } => {
                 if *slot < start_slot {
@@ -961,6 +1124,201 @@ mod tests {
         let equivalent = replay(&singles, 2, 0).expect("replay");
         assert_eq!(equivalent.open, tail.open);
         assert_eq!(equivalent.open_lines, tail.open_lines);
+    }
+
+    /// The buffer sums lines per edge, drops zero sums, orders edges,
+    /// counts every line and empties itself on `take`.
+    #[test]
+    fn group_commit_sums_lines_per_edge() {
+        let mut batch = GroupCommit::new(6);
+        assert_eq!(batch.take(0), None, "no line, no record");
+        for (edge, count) in [(4, 2), (1, 0), (4, 3), (0, 7), (5, 0), (1, 1)] {
+            batch.add(edge, count);
+        }
+        assert_eq!(
+            batch.take(3),
+            Some(WalRecord::ArrivalSums {
+                slot: 3,
+                lines: 6,
+                pairs: vec![(0, 7), (1, 1), (4, 5)],
+            })
+        );
+        assert_eq!(batch.take(3), None, "take empties the buffer");
+        // Zero-count lines still count toward `--slot-requests`.
+        batch.add(2, 0);
+        assert_eq!(
+            batch.take(4),
+            Some(WalRecord::ArrivalSums {
+                slot: 4,
+                lines: 1,
+                pairs: Vec::new(),
+            })
+        );
+    }
+
+    /// An `ArrivalSums` frame is 29 + 16·(edges touched) bytes, however
+    /// many lines it covers.
+    #[test]
+    fn arrival_sums_frame_size_ignores_the_line_count() {
+        for lines_per_edge in [1u64, 10, 10_000] {
+            let mut batch = GroupCommit::new(50);
+            for _ in 0..lines_per_edge {
+                for edge in [3, 17, 42] {
+                    batch.add(edge, 2);
+                }
+            }
+            let record = batch.take(0).expect("lines were added");
+            assert_eq!(8 + record.encode_payload().len(), 29 + 16 * 3);
+        }
+    }
+
+    /// Pre-sums `Arrivals` frames and `ArrivalSums` frames in one log
+    /// replay into the same totals and line counts.
+    #[test]
+    fn mixed_arrivals_and_sums_frames_replay() {
+        let dir = temp_dir("mixed");
+        let records = vec![
+            WalRecord::Arrivals {
+                slot: 0,
+                pairs: vec![(0, 3), (2, 1), (0, 1)],
+            },
+            WalRecord::ArrivalSums {
+                slot: 0,
+                lines: 4,
+                pairs: vec![(1, 5), (2, 2)],
+            },
+            WalRecord::SlotClose { slot: 0 },
+            WalRecord::ArrivalSums {
+                slot: 1,
+                lines: 2,
+                pairs: vec![(0, 9)],
+            },
+            WalRecord::Arrivals {
+                slot: 1,
+                pairs: vec![(2, 4)],
+            },
+        ];
+        let (mut wal, _) = Wal::open(&dir, WalOptions::default()).expect("open");
+        for record in &records {
+            wal.append(record).expect("append");
+        }
+        drop(wal);
+        let recovery = read_records(&dir).expect("read");
+        assert_eq!(recovery.records, records);
+        assert!(recovery.torn.is_none());
+        let tail = replay(&recovery.records, 3, 0).expect("replay");
+        assert_eq!(tail.closed, vec![vec![4, 5, 3]]);
+        assert_eq!(tail.open, vec![9, 0, 4]);
+        assert_eq!(tail.open_lines, 3, "2 summed lines + 1 pair");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `ArrivalSums` payloads that break the format's ordering rules
+    /// are corrupt frames, even under a valid CRC.
+    #[test]
+    fn malformed_arrival_sums_are_rejected() {
+        for (lines, pairs) in [
+            (2, vec![(3, 1), (1, 1)]),
+            (2, vec![(1, 1), (1, 1)]),
+            (2, vec![(1, 0)]),
+            (0, vec![]),
+            (1, vec![(0, 1), (1, 1)]),
+        ] {
+            let payload = WalRecord::ArrivalSums {
+                slot: 0,
+                lines,
+                pairs,
+            }
+            .encode_payload();
+            assert!(WalRecord::decode_payload(&payload).is_err());
+        }
+    }
+
+    /// Every single-byte change to a segment holding all four record
+    /// kinds is caught at the frame it hits: the records before it
+    /// survive and the scan stops at that frame's offset.
+    #[test]
+    fn every_single_byte_flip_is_caught() {
+        let dir = temp_dir("flip");
+        let records = vec![
+            WalRecord::Arrivals {
+                slot: 0,
+                pairs: vec![(0, 3), (2, 1)],
+            },
+            WalRecord::ArrivalSums {
+                slot: 0,
+                lines: 3,
+                pairs: vec![(1, 4), (3, 2)],
+            },
+            WalRecord::SlotClose { slot: 0 },
+            WalRecord::CheckpointInstalled { slot: 1 },
+        ];
+        let (mut wal, _) = Wal::open(&dir, WalOptions::default()).expect("open");
+        for record in &records {
+            wal.append(record).expect("append");
+        }
+        drop(wal);
+        let full = std::fs::read(segment_path(&dir, 1)).expect("read segment");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut starts = vec![0];
+        for record in &records {
+            starts.push(starts.last().expect("non-empty") + 8 + record.encode_payload().len());
+        }
+        assert_eq!(starts[records.len()], full.len());
+
+        for at in 0..full.len() {
+            let frame = starts.iter().rposition(|&s| s <= at).expect("offset 0");
+            for mask in 1..=255u8 {
+                let mut bytes = full.clone();
+                bytes[at] ^= mask;
+                let mut scanned = Vec::new();
+                let torn = scan_frames(&bytes, &mut scanned);
+                assert_eq!(scanned, records[..frame], "byte {at} ^ {mask:#04x}");
+                assert_eq!(
+                    torn.map(|(offset, _)| offset),
+                    Some(starts[frame]),
+                    "byte {at} ^ {mask:#04x}"
+                );
+            }
+        }
+    }
+
+    /// The writer refuses a frame the reader would throw away, writes
+    /// nothing for it, and accepts the largest frame the reader takes.
+    #[test]
+    fn oversized_frames_are_refused_before_writing() {
+        let dir = temp_dir("oversize");
+        let (mut wal, _) = Wal::open(&dir, WalOptions::default()).expect("open");
+        // An `Arrivals` payload is 13 + 16·n bytes.
+        let fits = (MAX_FRAME_BYTES as usize - 13) / 16;
+        let arrivals = |n: usize| WalRecord::Arrivals {
+            slot: 0,
+            pairs: vec![(0, 1); n],
+        };
+        assert_eq!(
+            wal.append(&arrivals(fits + 1)),
+            Err(AppendError::FrameTooLarge {
+                payload_bytes: 13 + 16 * (fits + 1)
+            })
+        );
+        assert_eq!(
+            std::fs::metadata(segment_path(&dir, 1))
+                .expect("stat")
+                .len(),
+            0,
+            "nothing written"
+        );
+        wal.append(&arrivals(fits)).expect("the largest frame fits");
+        wal.append(&WalRecord::SlotClose { slot: 0 })
+            .expect("append");
+        drop(wal);
+        let recovery = read_records(&dir).expect("read");
+        assert!(recovery.torn.is_none());
+        assert_eq!(
+            recovery.records,
+            vec![arrivals(fits), WalRecord::SlotClose { slot: 0 }]
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::path::PathBuf;
 
-use cne_core::wal::{self, Wal, WalOptions, WalRecord};
+use cne_core::wal::{self, GroupCommit, Wal, WalOptions, WalRecord};
 use cne_core::{Checkpoint, Combo, ServeOptions, ServeSession};
 use cne_edgesim::{RunRecord, ServeMode, SimConfig};
 use cne_faults::FaultScenario;
@@ -49,19 +49,19 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// The exact record stream the daemon would append for slots
-/// `0..upto`: one `Arrivals` frame per non-empty request line, then a
-/// `SlotClose` per slot.
+/// `0..upto` when each slot's lines (one per edge with traffic, as
+/// `gen-arrivals` writes them) arrive in one block: one group-committed
+/// `ArrivalSums` frame, then a `SlotClose` per slot.
 fn daemon_records(arrivals: &[Vec<u64>], upto: usize) -> Vec<WalRecord> {
     let mut records = Vec::new();
+    let mut batch = GroupCommit::new(arrivals.len());
     for t in 0..upto {
         for (edge, row) in arrivals.iter().enumerate() {
             if row[t] > 0 {
-                records.push(WalRecord::Arrivals {
-                    slot: t as u64,
-                    pairs: vec![(edge as u64, row[t])],
-                });
+                batch.add(edge, row[t]);
             }
         }
+        records.extend(batch.take(t as u64));
         records.push(WalRecord::SlotClose { slot: t as u64 });
     }
     records
@@ -199,6 +199,7 @@ fn every_truncation_point_recovers_bit_identically() {
             // frame = len(4) + crc(4) + payload
             let payload = match r {
                 WalRecord::Arrivals { pairs, .. } => 1 + 8 + 4 + 16 * pairs.len(),
+                WalRecord::ArrivalSums { pairs, .. } => 1 + 8 + 8 + 4 + 16 * pairs.len(),
                 WalRecord::SlotClose { .. } | WalRecord::CheckpointInstalled { .. } => 1 + 8,
             };
             *acc += 8 + payload;
@@ -279,23 +280,25 @@ fn checkpoint_plus_wal_tail_resumes_bit_identically() {
         for record in daemon_records(&arrivals, m)
             .into_iter()
             .filter(|r| match r {
-                WalRecord::Arrivals { slot, .. } | WalRecord::SlotClose { slot } => {
-                    *slot >= k as u64
-                }
+                WalRecord::Arrivals { slot, .. }
+                | WalRecord::ArrivalSums { slot, .. }
+                | WalRecord::SlotClose { slot } => *slot >= k as u64,
                 WalRecord::CheckpointInstalled { .. } => true,
             })
         {
             wal.append(&record).expect("append");
         }
-        // A partial batch for the open slot m: only the first edge
-        // with traffic gets its line logged before the crash.
-        if let Some(edge) = (0..cfg.num_edges).find(|&e| arrivals[e][m] > 0) {
-            wal.append(&WalRecord::Arrivals {
-                slot: m as u64,
-                pairs: vec![(edge as u64, arrivals[edge][m])],
-            })
+        // A partial batch for the open slot m: the first edge with
+        // traffic and a zero-count line are group-committed before the
+        // crash.
+        let edge = (0..cfg.num_edges)
+            .find(|&e| arrivals[e][m] > 0)
+            .unwrap_or(0);
+        let mut partial = GroupCommit::new(cfg.num_edges);
+        partial.add(edge, arrivals[edge][m]);
+        partial.add(edge, 0);
+        wal.append(&partial.take(m as u64).expect("two lines"))
             .expect("append");
-        }
         drop(wal);
 
         for edge_threads in [1usize, 4] {
@@ -312,6 +315,7 @@ fn checkpoint_plus_wal_tail_resumes_bit_identically() {
             let tail = wal::replay(&recovery.records, cfg.num_edges, k as u64).expect("replay");
             assert_eq!(tail.start_slot as usize, k);
             assert_eq!(tail.closed.len(), m - k);
+            assert_eq!(tail.open_lines, 2, "both logged lines of slot {m}");
             session.apply_wal_tail(&tail).expect("apply tail");
             assert_eq!(session.next_slot(), m);
             for t in m..horizon {
