@@ -5,10 +5,10 @@
 //! Five paths are timed, each with the [`cne_util::span`] profiler:
 //!
 //! * **slot serving** in `edgesim::env` — a fixed-placement policy run
-//!   under both [`ServeMode`]s over the Fig. 14 runtime-vs-edges grid,
-//!   wrapped in a single stopwatch span; the batched/per-request ratio
-//!   is the headline speedup and the two [`cne_edgesim::RunRecord`]s
-//!   are checked for bit-identical equality;
+//!   over the Fig. 14 runtime-vs-edges grid, wrapped in a single
+//!   stopwatch span; at the largest fleet a [`ServeSession`] fed the
+//!   same arrivals must reproduce the batch run's
+//!   [`cne_edgesim::RunRecord`] bit for bit;
 //! * **Tsallis-INF weight solves** in `cne-bandit` — repeated
 //!   [`tsallis_weights_into`] solves over a drifting loss vector, cold
 //!   versus warm-started;
@@ -27,8 +27,8 @@
 //! {"schema":"cne-bench/v1","mode":"quick","entries":[
 //!   {"name":"slot_loop/batched/edges=8","metric":"us_per_slot",
 //!    "value":12.5,"better":"lower","gate":true},
-//!   {"name":"slot_loop/speedup/edges=8","metric":"ratio",
-//!    "value":4.2,"better":"higher","min":1.5}]}
+//!   {"name":"slot_loop/identical/edges=50","metric":"bool",
+//!    "value":1.0,"better":"higher","min":1.0}]}
 //! ```
 //!
 //! Entries with a `min` are absolute floors on machine-independent
@@ -44,7 +44,7 @@ use cne_bandit::omd::tsallis_weights_into;
 use cne_core::combos::Combo;
 use cne_core::{Checkpoint, ServeOptions, ServeSession};
 use cne_edgesim::policy::{Policy, SlotFeedback};
-use cne_edgesim::{Environment, ServeMode};
+use cne_edgesim::Environment;
 use cne_market::TradeBounds;
 use cne_nn::ModelZoo;
 use cne_simdata::dataset::TaskKind;
@@ -213,29 +213,28 @@ fn median(mut xs: Vec<f64>) -> f64 {
     }
 }
 
-/// Microseconds per slot for one fixed-placement run, plus the run's
-/// record (for the equivalence check). The run itself is unprofiled:
-/// a single stopwatch span wraps the whole loop, so the entry times
-/// the serve path and nothing else.
-fn timed_serve_run(env: &Environment<'_>, model: usize) -> (f64, cne_edgesim::RunRecord) {
+/// Microseconds per slot for one fixed-placement run. The run itself
+/// is unprofiled: a single stopwatch span wraps the whole loop, so the
+/// entry times the serve path and nothing else.
+fn timed_serve_run(env: &Environment<'_>, model: usize) -> f64 {
     let mut policy = FixedPlacement {
         model,
         edges: env.num_edges(),
     };
     let mut stopwatch = Profiler::new();
     stopwatch.enter("serve_run");
-    let record = env.run(&mut policy);
+    let _ = env.run(&mut policy);
     stopwatch.exit();
-    (
-        stopwatch.total_us("serve_run") / env.horizon() as f64,
-        record,
-    )
+    stopwatch.total_us("serve_run") / env.horizon() as f64
 }
 
-/// Times the slot-serving path under both serve modes over the edge
-/// sweep; appends entries and returns whether every paired run was
-/// bit-identical.
+/// Times the slot-serving path over the edge sweep and appends its
+/// entries. At the largest fleet it also checks that a
+/// [`ServeSession`] fed the batch environment's arrivals slot by slot
+/// reproduces `env.run`'s record (the `identical` entry, floored at
+/// 1.0).
 fn bench_slot_loop(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut Vec<BenchEntry>) {
+    const SEED: u64 = 7;
     let task = TaskKind::MnistLike;
     let model = zoo.best_by_expected_loss();
     // Always include the paper's largest fleet (50 edges) so the serve
@@ -248,52 +247,29 @@ fn bench_slot_loop(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut Vec
     let largest = *sweep.last().expect("non-empty edge sweep");
     for &edges in &sweep {
         let config = scale.config(task, edges);
-        let seed = SeedSequence::new(7);
-        let batched_env = Environment::with_serve_mode(
-            config.clone(),
-            zoo,
-            &seed.derive("env"),
-            ServeMode::Batched,
-        );
-        let per_request_env =
-            Environment::with_serve_mode(config, zoo, &seed.derive("env"), ServeMode::PerRequest);
-        let mut batched_us = Vec::with_capacity(reps);
-        let mut per_request_us = Vec::with_capacity(reps);
-        let mut identical = true;
-        for _ in 0..reps {
-            let (us_b, rec_b) = timed_serve_run(&batched_env, model);
-            let (us_p, rec_p) = timed_serve_run(&per_request_env, model);
-            identical &= rec_b == rec_p;
-            batched_us.push(us_b);
-            per_request_us.push(us_p);
-        }
-        let batched = median(batched_us);
-        let per_request = median(per_request_us);
+        let seed = SeedSequence::new(SEED);
+        let env = Environment::new(config.clone(), zoo, &seed.derive("env"));
+        let slot_us: Vec<f64> = (0..reps).map(|_| timed_serve_run(&env, model)).collect();
         entries.push(BenchEntry {
             name: format!("slot_loop/batched/edges={edges}"),
             metric: "us_per_slot".to_owned(),
-            value: batched,
+            value: median(slot_us),
             better: "lower",
             gate: true,
             min: None,
         });
-        entries.push(BenchEntry {
-            name: format!("slot_loop/per_request/edges={edges}"),
-            metric: "us_per_slot".to_owned(),
-            value: per_request,
-            better: "lower",
-            gate: false,
-            min: None,
-        });
         if edges == largest {
-            entries.push(BenchEntry {
-                name: format!("slot_loop/speedup/edges={edges}"),
-                metric: "ratio".to_owned(),
-                value: per_request / batched,
-                better: "higher",
-                gate: false,
-                min: Some(1.5),
-            });
+            // The bench configuration attaches no fault scenario, so the
+            // realized workload is the raw arrival stream.
+            let mut policy = Combo::ours().build(&env, &seed.derive("alg"));
+            let batch_record = env.run(&mut policy);
+            let mut session =
+                ServeSession::new(config, zoo, SEED, Combo::ours(), &ServeOptions::default());
+            for t in 0..env.horizon() {
+                let row: Vec<u64> = (0..edges).map(|i| env.workload(i).arrivals(t)).collect();
+                session.push_slot(&row);
+            }
+            let identical = session.finish().record == batch_record;
             entries.push(BenchEntry {
                 name: format!("slot_loop/identical/edges={edges}"),
                 metric: "bool".to_owned(),
@@ -318,11 +294,10 @@ fn bench_lane_reduce(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut V
     const SAMPLES: usize = 256;
     let m = zoo.len();
     let pool = zoo.pool().len();
-    let env = Environment::with_serve_mode(
+    let env = Environment::new(
         scale.config(TaskKind::MnistLike, scale.default_edges),
         zoo,
         &SeedSequence::new(7).derive("env"),
-        ServeMode::Batched,
     );
     // Deterministic drawn-index sets: scattered pool reads, the access
     // pattern a real slot reduction sees.
@@ -567,10 +542,10 @@ fn bench_offline(reps: usize, entries: &mut Vec<BenchEntry>) {
 /// the same seed would draw.
 ///
 /// Determinism first, mirroring the other suites: the served record
-/// must equal the batch driver's, and in both serve modes the session
-/// is checkpointed mid-run, round-tripped through the on-disk
-/// encoding, resumed, and byte-compared (record + telemetry trace)
-/// against the uninterrupted session — the `resume_identical` entry
+/// must equal the batch run's, and the session is checkpointed
+/// mid-run, round-tripped through the on-disk encoding, resumed, and
+/// byte-compared (record + telemetry trace) against the uninterrupted
+/// session — the `resume_identical` entry
 /// carries a hard 1.0 floor. The timed entries then measure the
 /// per-slot ingest cost, the full checkpoint encode, and the streaming
 /// overhead versus the batch driver's `env.run` on the same arrivals.
@@ -608,9 +583,8 @@ fn bench_serve_loop(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut Ve
         }
         identical &= session.finish().record == batch_record;
     }
-    for serve_mode in [ServeMode::Batched, ServeMode::PerRequest] {
+    {
         let opts = ServeOptions {
-            serve_mode,
             edge_threads: 1,
             telemetry: true,
             ..ServeOptions::default()
@@ -1116,12 +1090,12 @@ mod tests {
                     min: None,
                 },
                 BenchEntry {
-                    name: "slot_loop/speedup/edges=8".to_owned(),
-                    metric: "ratio".to_owned(),
-                    value: 4.0,
+                    name: "slot_loop/identical/edges=50".to_owned(),
+                    metric: "bool".to_owned(),
+                    value: 1.0,
                     better: "higher",
                     gate: false,
-                    min: Some(1.5),
+                    min: Some(1.0),
                 },
             ],
         };

@@ -199,7 +199,6 @@ fn eval_options(opts: &Options) -> EvalOptions {
         telemetry: opts.telemetry.is_some(),
         profile: opts.profile.is_some() || opts.telemetry.is_some(),
         progress: true,
-        ..EvalOptions::default()
     }
 }
 

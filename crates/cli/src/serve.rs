@@ -484,7 +484,11 @@ impl Durability {
         }
         let Some(wal) = self.wal.as_mut() else { return };
         let retry = self.retry;
-        // Only I/O failures are retried; an oversized frame never fits.
+        // Only `Io` failures are retried: `Wal::append` has cut the
+        // segment back to its last whole frame. An oversized frame
+        // never fits, and after a failed fsync the frame may already be
+        // on disk (a retry could log it twice) while the kernel may
+        // report the next fsync as a success, so both degrade at once.
         let result = retry
             .run(
                 || match wal.append(record) {
@@ -934,7 +938,6 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         // ops sidecar); the deterministic trace never sees them.
         live_monitor: true,
         stage_profiler: true,
-        ..ServeOptions::default()
     };
 
     let run_seed = checkpoint.as_ref().map_or(opts.seed, |c| c.seed);

@@ -23,7 +23,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use cne_edgesim::{EdgeServeState, ServeMode, SlotRecord, StepperState};
+use cne_edgesim::{EdgeServeState, SlotRecord, StepperState};
 use cne_faults::TradeCarryParts;
 use cne_market::LedgerParts;
 use cne_nn::{ModelZoo, SnapshotError, ZooKey};
@@ -141,8 +141,6 @@ pub struct Checkpoint {
     /// Policy display name (e.g. `"Ours"`); a resume must rebuild the
     /// same combo.
     pub policy: String,
-    /// The serve mode the run was started with.
-    pub serve_mode: ServeMode,
     /// Name of the fault scenario in effect, if any.
     pub fault_scenario: Option<String>,
     /// Horizon `T` of the run.
@@ -407,17 +405,18 @@ fn stepper_from_json(value: &Json) -> Result<StepperState, String> {
     })
 }
 
-fn serve_mode_name(mode: ServeMode) -> &'static str {
-    match mode {
-        ServeMode::Batched => "batched",
-        ServeMode::PerRequest => "per-request",
-    }
-}
+/// The checkpoint header's `serve_mode` value. Only one serve path
+/// exists; the field stays so that files keep their bytes.
+const SERVE_MODE: &str = "batched";
 
-fn serve_mode_from_name(name: &str) -> Result<ServeMode, String> {
+/// Accepts the header's `serve_mode` value: [`SERVE_MODE`] only.
+fn check_serve_mode(name: &str) -> Result<(), String> {
     match name {
-        "batched" => Ok(ServeMode::Batched),
-        "per-request" => Ok(ServeMode::PerRequest),
+        SERVE_MODE => Ok(()),
+        "per-request" => Err(
+            "checkpoint was written in the per-request serve mode, which no longer exists"
+                .to_owned(),
+        ),
         other => Err(format!("unknown serve mode '{other}'")),
     }
 }
@@ -431,10 +430,7 @@ impl Checkpoint {
         let meta = Json::Obj(vec![
             ("seed".to_owned(), uint(self.seed)),
             ("policy".to_owned(), Json::Str(self.policy.clone())),
-            (
-                "serve_mode".to_owned(),
-                Json::Str(serve_mode_name(self.serve_mode).to_owned()),
-            ),
+            ("serve_mode".to_owned(), Json::Str(SERVE_MODE.to_owned())),
             (
                 "fault_scenario".to_owned(),
                 self.fault_scenario
@@ -493,6 +489,7 @@ impl Checkpoint {
             ));
         }
         let meta = get(&doc, "meta")?;
+        check_serve_mode(&get_str(meta, "serve_mode")?)?;
         let fault_scenario = {
             let value = get(meta, "fault_scenario")?;
             if value.is_null() {
@@ -564,7 +561,6 @@ impl Checkpoint {
         Ok(Self {
             seed: get_u64(meta, "seed")?,
             policy: get_str(meta, "policy")?,
-            serve_mode: serve_mode_from_name(&get_str(meta, "serve_mode")?)?,
             fault_scenario,
             horizon,
             num_edges,
@@ -603,7 +599,6 @@ mod tests {
         Checkpoint {
             seed: 42,
             policy: "Ours".to_owned(),
-            serve_mode: ServeMode::Batched,
             fault_scenario: Some("mixed-20".to_owned()),
             horizon: 8,
             num_edges: 2,
@@ -739,6 +734,23 @@ mod tests {
         ragged.arrivals[1].pop();
         let text = ragged.encode();
         assert!(Checkpoint::parse(&text).unwrap_err().contains("entries"));
+    }
+
+    #[test]
+    fn serve_mode_header_is_batched_and_per_request_is_refused() {
+        let text = sample().encode();
+        assert!(text.contains("\"serve_mode\":\"batched\""));
+        let per_request = text.replace(
+            "\"serve_mode\":\"batched\"",
+            "\"serve_mode\":\"per-request\"",
+        );
+        assert!(Checkpoint::parse(&per_request)
+            .unwrap_err()
+            .contains("per-request serve mode, which no longer exists"));
+        let unknown = text.replace("\"serve_mode\":\"batched\"", "\"serve_mode\":\"lazy\"");
+        assert!(Checkpoint::parse(&unknown)
+            .unwrap_err()
+            .contains("unknown serve mode 'lazy'"));
     }
 
     #[test]

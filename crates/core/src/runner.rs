@@ -44,7 +44,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use cne_edgesim::{Environment, Policy, RunRecord, ServeMode, SimConfig};
+use cne_edgesim::{Environment, Policy, RunRecord, SimConfig};
 use cne_nn::ModelZoo;
 use cne_util::series::mean_series;
 use cne_util::span::Profiler;
@@ -98,11 +98,6 @@ pub struct EvalOptions {
     pub profile: bool,
     /// Print a progress line to stderr as each run completes.
     pub progress: bool,
-    /// How the environment reduces the per-slot request streams
-    /// (batched sufficient statistics by default; the per-request path
-    /// is the bit-identical reference the equivalence tests compare
-    /// against).
-    pub serve_mode: ServeMode,
 }
 
 /// The outcome of [`evaluate_many_with`]: aggregated results per spec
@@ -198,8 +193,8 @@ struct JobOutput {
     envelope_violations: u64,
 }
 
-/// One `(seed, spec)` run under `options`' serve mode and
-/// instrumentation (its thread and progress knobs are the driver's).
+/// One `(seed, spec)` run under `options`' instrumentation (its thread
+/// and progress knobs act on the seed fan-out, not on the run).
 fn run_job(
     config: &SimConfig,
     zoo: &ModelZoo,
@@ -208,8 +203,7 @@ fn run_job(
     options: &EvalOptions,
 ) -> JobOutput {
     let root = SeedSequence::new(seed);
-    let env =
-        Environment::with_serve_mode(config.clone(), zoo, &root.derive("env"), options.serve_mode);
+    let env = Environment::new(config.clone(), zoo, &root.derive("env"));
     let mut recorder = options.telemetry.then(|| {
         let mut rec = Recorder::new();
         rec.set_label("policy", spec.name());
@@ -601,44 +595,6 @@ mod tests {
             },
         );
         assert_eq!(one, four, "results must be identical at any thread count");
-    }
-
-    #[test]
-    fn serve_modes_produce_identical_eval_results() {
-        let (zoo, cfg) = setup();
-        let seeds = [1u64, 2];
-        let specs = [PolicySpec::Combo(Combo::ours()), PolicySpec::Offline];
-        let run = |serve_mode: ServeMode| {
-            evaluate_many_with(
-                &cfg,
-                &zoo,
-                &seeds,
-                &specs,
-                &EvalOptions {
-                    telemetry: true,
-                    serve_mode,
-                    ..EvalOptions::default()
-                },
-            )
-        };
-        let batched = run(ServeMode::Batched);
-        let per_request = run(ServeMode::PerRequest);
-        assert_eq!(
-            batched.results, per_request.results,
-            "EvalResults must be bit-identical across serve modes"
-        );
-        assert_eq!(
-            batched.telemetry.len(),
-            per_request.telemetry.len(),
-            "equal run counts"
-        );
-        for (a, b) in batched.telemetry.iter().zip(&per_request.telemetry) {
-            assert_eq!(
-                a.to_jsonl_string(),
-                b.to_jsonl_string(),
-                "telemetry traces must be bit-identical across serve modes"
-            );
-        }
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! a pipe or socket by the CLI daemon), and the session takes the same
 //! Algorithm 1/2 decisions the batch driver would take — identical
 //! seeding (`SeedSequence::new(seed)` with the `"env"`/`"alg"`
-//! branches), identical serve path (the batched or per-request
-//! [`RunStepper`] hot loop, optionally edge-sharded), identical
-//! telemetry stream. A served trace is therefore byte-comparable to a
-//! batch replay of the same arrivals.
+//! branches), identical serve path (the [`RunStepper`] hot loop,
+//! optionally edge-sharded), identical telemetry stream. A served
+//! trace is therefore byte-comparable to a batch replay of the same
+//! arrivals.
 //!
 //! Between any two slots the session can snapshot itself into a
 //! versioned [`Checkpoint`] and later [`resume`](ServeSession::resume)
@@ -17,7 +17,7 @@
 //! is restored onto a fresh stepper, and the controller's learned
 //! state is imported onto a freshly built policy.
 
-use cne_edgesim::{Environment, RunRecord, RunStepper, ServeMode, SimConfig};
+use cne_edgesim::{Environment, RunRecord, RunStepper, SimConfig};
 use cne_nn::ModelZoo;
 use cne_util::telemetry::{parse_jsonl, Recorder};
 use cne_util::{Profiler, SeedSequence};
@@ -31,9 +31,6 @@ use crate::runner::{finalize_run, PolicySpec};
 /// Knobs for a serve session.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// How the environment reduces the per-slot request streams (same
-    /// meaning as `EvalOptions::serve_mode`).
-    pub serve_mode: ServeMode,
     /// Edge lanes for each slot's serve phase (1 = sequential): the
     /// stepper splits the edges into this many contiguous lanes and
     /// serves them on a per-slot scoped worker pool (see
@@ -61,7 +58,6 @@ pub struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> Self {
         Self {
-            serve_mode: ServeMode::default(),
             edge_threads: 1,
             telemetry: false,
             live_monitor: false,
@@ -117,7 +113,7 @@ impl<'a> ServeSession<'a> {
         options: &ServeOptions,
     ) -> Self {
         let root = SeedSequence::new(seed);
-        let env = Environment::streaming(config, zoo, &root.derive("env"), options.serve_mode);
+        let env = Environment::streaming(config, zoo, &root.derive("env"));
         let policy = combo.build(&env, &root.derive("alg"));
         let recorder = options.telemetry.then(|| {
             let mut rec = Recorder::new();
@@ -147,8 +143,8 @@ impl<'a> ServeSession<'a> {
     /// Resumes a session from a checkpoint, continuing the interrupted
     /// run bit-identically. `config` and `combo` must describe the
     /// same run the checkpoint was taken from; the cheap invariants
-    /// recorded in the checkpoint header (policy name, serve mode,
-    /// horizon, edge count, fault scenario) are validated, the rest is
+    /// recorded in the checkpoint header (policy name, horizon, edge
+    /// count, fault scenario) are validated, the rest is
     /// the operator's contract (see `SERVING.md`).
     ///
     /// The resumed session's `edge_threads` may differ from the
@@ -170,11 +166,6 @@ impl<'a> ServeSession<'a> {
                 checkpoint.policy,
                 combo.name()
             ));
-        }
-        if checkpoint.serve_mode != options.serve_mode {
-            return Err(
-                "checkpoint serve mode does not match this invocation's serve mode".to_owned(),
-            );
         }
         if checkpoint.horizon != config.horizon {
             return Err(format!(
@@ -205,8 +196,10 @@ impl<'a> ServeSession<'a> {
 
         let mut session = Self::new(config, zoo, checkpoint.seed, combo, options);
         // Re-ingest the stored raw arrivals: this replays the per-edge
-        // stream RNGs and rebuilds the workload statistics exactly as
-        // the original process saw them.
+        // stream RNGs and rebuilds the workload traces exactly as the
+        // original process saw them. (Only the last ingested slot's
+        // statistics are kept, and no resumed slot reads them: the
+        // next `push_slot` ingests and serves a fresh slot.)
         for (t, raw) in checkpoint.arrivals.iter().enumerate() {
             session.env.ingest_slot(t, raw);
         }
@@ -402,7 +395,6 @@ impl<'a> ServeSession<'a> {
         Ok(Checkpoint {
             seed: self.seed,
             policy: self.combo.name(),
-            serve_mode: self.env.serve_mode(),
             fault_scenario: self.env.config().faults.as_ref().map(|s| s.name.clone()),
             horizon: self.horizon(),
             num_edges: self.num_edges(),

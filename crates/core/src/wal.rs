@@ -138,7 +138,7 @@ impl Default for WalOptions {
     }
 }
 
-/// Why [`Wal::append`] wrote nothing.
+/// Why [`Wal::append`] failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AppendError {
     /// The record encodes to more than [`MAX_FRAME_BYTES`]. Recovery
@@ -148,8 +148,18 @@ pub enum AppendError {
         /// The encoded payload size.
         payload_bytes: usize,
     },
-    /// An I/O failure (rotation, write or fsync); worth a retry.
+    /// An I/O failure before the frame reached the file in full
+    /// (creating a segment, or the write itself). Any part of the frame
+    /// that was written has been truncated away again, so the segment
+    /// ends at its last whole frame and a retry is safe.
     Io(String),
+    /// An fsync failed, or a failed write could not be rolled back.
+    /// The segment's durable contents are unknown: the frame may be on
+    /// disk, and after a failed fsync the kernel may have dropped the
+    /// dirty pages and report the next fsync as a success. Writing the
+    /// frame again could log it twice, so the caller must not retry on
+    /// this log.
+    Sync(String),
 }
 
 impl std::fmt::Display for AppendError {
@@ -159,7 +169,7 @@ impl std::fmt::Display for AppendError {
                 f,
                 "WAL record of {payload_bytes} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit"
             ),
-            Self::Io(e) => f.write_str(e),
+            Self::Io(e) | Self::Sync(e) => f.write_str(e),
         }
     }
 }
@@ -661,8 +671,12 @@ impl Wal {
     ///
     /// # Errors
     /// [`AppendError::FrameTooLarge`] when the record would not fit in
-    /// one frame (nothing is written), [`AppendError::Io`] on any I/O
-    /// failure; the caller decides whether to retry or degrade.
+    /// one frame (nothing is written); [`AppendError::Io`] when the
+    /// frame could not be written (the segment is cut back to its
+    /// length before the write, so a retry starts from a clean tail);
+    /// [`AppendError::Sync`] when an fsync failed or that cut failed
+    /// (not safe to retry). The caller decides whether to retry or
+    /// degrade.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), AppendError> {
         let payload = record.encode_payload();
         if payload.len() > MAX_FRAME_BYTES as usize {
@@ -671,7 +685,7 @@ impl Wal {
             });
         }
         if self.segment_bytes >= self.options.segment_bytes {
-            self.rotate().map_err(AppendError::Io)?;
+            self.rotate()?;
         }
         let mut frame = Vec::with_capacity(8 + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -685,10 +699,20 @@ impl Wal {
             let _ = self.file.sync_all();
             crashpoint::crash("wal-torn-append");
         }
-        self.file.write_all(&frame).map_err(|e| {
+        if let Err(e) = self.file.write_all(&frame) {
+            // A short write leaves a frame prefix that recovery reads
+            // as a torn tail, and a retry would append behind it. Cut
+            // the segment back to its last whole frame first.
             let path = segment_path(&self.dir, self.segment);
-            AppendError::Io(io_err("append to WAL segment", &path, &e))
-        })?;
+            let error = io_err("append to WAL segment", &path, &e);
+            return Err(match self.file.set_len(self.segment_bytes) {
+                Ok(()) => AppendError::Io(error),
+                Err(e) => AppendError::Sync(format!(
+                    "{error}; {}",
+                    io_err("truncate WAL segment", &path, &e)
+                )),
+            });
+        }
         self.segment_bytes += frame.len() as u64;
         let must_sync = match self.options.sync {
             SyncPolicy::Every => true,
@@ -696,7 +720,7 @@ impl Wal {
             SyncPolicy::Off => false,
         };
         if must_sync {
-            self.sync().map_err(AppendError::Io)?;
+            self.sync().map_err(AppendError::Sync)?;
         }
         Ok(())
     }
@@ -715,12 +739,12 @@ impl Wal {
         })
     }
 
-    fn rotate(&mut self) -> Result<(), String> {
+    fn rotate(&mut self) -> Result<(), AppendError> {
         // The closing segment must be durable before the log moves on:
         // recovery reads segments in order and only tolerates a torn
         // tail in the last one.
         if self.options.sync != SyncPolicy::Off {
-            self.sync()?;
+            self.sync().map_err(AppendError::Sync)?;
         }
         self.segment += 1;
         let path = segment_path(&self.dir, self.segment);
@@ -728,9 +752,9 @@ impl Wal {
             .create_new(true)
             .append(true)
             .open(&path)
-            .map_err(|e| io_err("create WAL segment", &path, &e))?;
+            .map_err(|e| AppendError::Io(io_err("create WAL segment", &path, &e)))?;
         self.segment_bytes = 0;
-        sync_dir(&self.dir)
+        sync_dir(&self.dir).map_err(AppendError::Sync)
     }
 
     /// Records that a checkpoint capturing every slot `< slot` was

@@ -4,7 +4,7 @@
 //! byte-identity contract extends to observability being switched on.
 
 use cne_core::{Combo, LiveFinding, ServeOptions, ServeSession};
-use cne_edgesim::{ServeMode, SimConfig};
+use cne_edgesim::SimConfig;
 use cne_faults::FaultScenario;
 use cne_nn::{ModelZoo, ZooConfig};
 use cne_simdata::dataset::TaskKind;
@@ -65,48 +65,45 @@ fn bool_field(event: &Event, name: &str) -> Option<bool> {
 fn live_monitoring_never_perturbs_the_served_trace() {
     let (zoo, cfg) = setup(true);
     let arrivals = raw_arrivals(&cfg, SEED);
-    for serve_mode in [ServeMode::Batched, ServeMode::PerRequest] {
-        let mut outputs: Vec<(cne_edgesim::RunRecord, String)> = Vec::new();
-        for live in [false, true] {
-            let mut session = ServeSession::new(
-                cfg.clone(),
-                &zoo,
-                SEED,
-                Combo::ours(),
-                &ServeOptions {
-                    serve_mode,
-                    edge_threads: 1,
-                    telemetry: true,
-                    live_monitor: live,
-                    stage_profiler: live,
-                },
-            );
-            for t in 0..cfg.horizon {
-                session.push_slot(&slot_row(&arrivals, t));
-            }
-            if live {
-                let monitor = session.live_monitor().expect("live monitor enabled");
-                assert_eq!(
-                    monitor.violations(),
-                    0,
-                    "hard live checks must hold under the mixed fault scenario"
-                );
-            }
-            let outcome = session.finish();
-            outputs.push((
-                outcome.record,
-                outcome.telemetry.expect("telemetry on").to_jsonl_string(),
-            ));
+    let mut outputs: Vec<(cne_edgesim::RunRecord, String)> = Vec::new();
+    for live in [false, true] {
+        let mut session = ServeSession::new(
+            cfg.clone(),
+            &zoo,
+            SEED,
+            Combo::ours(),
+            &ServeOptions {
+                edge_threads: 1,
+                telemetry: true,
+                live_monitor: live,
+                stage_profiler: live,
+            },
+        );
+        for t in 0..cfg.horizon {
+            session.push_slot(&slot_row(&arrivals, t));
         }
-        assert_eq!(
-            outputs[0].0, outputs[1].0,
-            "live monitoring changed the record ({serve_mode:?})"
-        );
-        assert_eq!(
-            outputs[0].1, outputs[1].1,
-            "live monitoring changed the trace ({serve_mode:?})"
-        );
+        if live {
+            let monitor = session.live_monitor().expect("live monitor enabled");
+            assert_eq!(
+                monitor.violations(),
+                0,
+                "hard live checks must hold under the mixed fault scenario"
+            );
+        }
+        let outcome = session.finish();
+        outputs.push((
+            outcome.record,
+            outcome.telemetry.expect("telemetry on").to_jsonl_string(),
+        ));
     }
+    assert_eq!(
+        outputs[0].0, outputs[1].0,
+        "live monitoring changed the record"
+    );
+    assert_eq!(
+        outputs[0].1, outputs[1].1,
+        "live monitoring changed the trace"
+    );
 }
 
 #[test]

@@ -6,7 +6,7 @@
 
 use cne_core::runner::{evaluate_many_with, EvalOptions, PolicySpec};
 use cne_core::{Checkpoint, Combo, ServeOptions, ServeSession};
-use cne_edgesim::{Environment, ServeMode, SimConfig};
+use cne_edgesim::{Environment, SimConfig};
 use cne_faults::FaultScenario;
 use cne_nn::{ModelZoo, ZooConfig};
 use cne_simdata::dataset::TaskKind;
@@ -45,49 +45,45 @@ fn slot_row(arrivals: &[Vec<u64>], t: usize) -> Vec<u64> {
 fn served_run_matches_batch_driver() {
     let (zoo, cfg) = setup();
     let arrivals = raw_arrivals(&cfg, SEED);
-    for serve_mode in [ServeMode::Batched, ServeMode::PerRequest] {
-        let report = evaluate_many_with(
-            &cfg,
-            &zoo,
-            &[SEED],
-            &[PolicySpec::Combo(Combo::ours())],
-            &EvalOptions {
-                threads: Some(1),
-                telemetry: true,
-                serve_mode,
-                ..EvalOptions::default()
-            },
-        );
-        let batch_record = &report.results[0].records[0];
-        let batch_trace = report.telemetry[0].to_jsonl_string();
+    let report = evaluate_many_with(
+        &cfg,
+        &zoo,
+        &[SEED],
+        &[PolicySpec::Combo(Combo::ours())],
+        &EvalOptions {
+            threads: Some(1),
+            telemetry: true,
+            ..EvalOptions::default()
+        },
+    );
+    let batch_record = &report.results[0].records[0];
+    let batch_trace = report.telemetry[0].to_jsonl_string();
 
-        let mut session = ServeSession::new(
-            cfg.clone(),
-            &zoo,
-            SEED,
-            Combo::ours(),
-            &ServeOptions {
-                serve_mode,
-                edge_threads: 1,
-                telemetry: true,
-                ..ServeOptions::default()
-            },
-        );
-        for t in 0..cfg.horizon {
-            session.push_slot(&slot_row(&arrivals, t));
-        }
-        assert!(session.is_done());
-        let outcome = session.finish();
-        assert_eq!(
-            &outcome.record, batch_record,
-            "served record diverged from the batch driver ({serve_mode:?})"
-        );
-        assert_eq!(
-            outcome.telemetry.expect("telemetry on").to_jsonl_string(),
-            batch_trace,
-            "served trace diverged from the batch driver ({serve_mode:?})"
-        );
+    let mut session = ServeSession::new(
+        cfg.clone(),
+        &zoo,
+        SEED,
+        Combo::ours(),
+        &ServeOptions {
+            edge_threads: 1,
+            telemetry: true,
+            ..ServeOptions::default()
+        },
+    );
+    for t in 0..cfg.horizon {
+        session.push_slot(&slot_row(&arrivals, t));
     }
+    assert!(session.is_done());
+    let outcome = session.finish();
+    assert_eq!(
+        &outcome.record, batch_record,
+        "served record diverged from the batch driver"
+    );
+    assert_eq!(
+        outcome.telemetry.expect("telemetry on").to_jsonl_string(),
+        batch_trace,
+        "served trace diverged from the batch driver"
+    );
 }
 
 #[test]
@@ -139,63 +135,59 @@ fn resume_from_checkpoint_is_bit_identical() {
     let arrivals = raw_arrivals(&cfg, SEED);
     let horizon = cfg.horizon;
 
-    for serve_mode in [ServeMode::Batched, ServeMode::PerRequest] {
-        let opts = ServeOptions {
-            serve_mode,
-            edge_threads: 1,
-            telemetry: true,
-            ..ServeOptions::default()
-        };
-        let mut full = ServeSession::new(cfg.clone(), &zoo, SEED, Combo::ours(), &opts);
-        for t in 0..horizon {
-            full.push_slot(&slot_row(&arrivals, t));
+    let opts = ServeOptions {
+        edge_threads: 1,
+        telemetry: true,
+        ..ServeOptions::default()
+    };
+    let mut full = ServeSession::new(cfg.clone(), &zoo, SEED, Combo::ours(), &opts);
+    for t in 0..horizon {
+        full.push_slot(&slot_row(&arrivals, t));
+    }
+    let full_out = full.finish();
+    let full_trace = full_out
+        .telemetry
+        .as_ref()
+        .expect("telemetry on")
+        .to_jsonl_string();
+
+    for k in [1, horizon / 2, horizon - 1] {
+        let mut head = ServeSession::new(cfg.clone(), &zoo, SEED, Combo::ours(), &opts);
+        for t in 0..k {
+            head.push_slot(&slot_row(&arrivals, t));
         }
-        let full_out = full.finish();
-        let full_trace = full_out
-            .telemetry
-            .as_ref()
-            .expect("telemetry on")
-            .to_jsonl_string();
+        let ckpt = head.checkpoint().expect("Ours must checkpoint");
+        // Full on-disk round trip: the resumed session reads the
+        // parsed document, never the in-memory original.
+        let text = ckpt.encode();
+        let ckpt = Checkpoint::parse(&text).expect("well-formed checkpoint");
+        assert_eq!(ckpt.encode(), text, "checkpoint must be byte-stable");
 
-        for k in [1, horizon / 2, horizon - 1] {
-            let mut head = ServeSession::new(cfg.clone(), &zoo, SEED, Combo::ours(), &opts);
-            for t in 0..k {
-                head.push_slot(&slot_row(&arrivals, t));
+        for resume_threads in [1usize, 4] {
+            let resume_opts = ServeOptions {
+                edge_threads: resume_threads,
+                telemetry: true,
+                ..ServeOptions::default()
+            };
+            let mut tail =
+                ServeSession::resume(cfg.clone(), &zoo, Combo::ours(), &ckpt, &resume_opts)
+                    .expect("resume");
+            assert_eq!(tail.next_slot(), k);
+            for t in k..horizon {
+                tail.push_slot(&slot_row(&arrivals, t));
             }
-            let ckpt = head.checkpoint().expect("Ours must checkpoint");
-            // Full on-disk round trip: the resumed session reads the
-            // parsed document, never the in-memory original.
-            let text = ckpt.encode();
-            let ckpt = Checkpoint::parse(&text).expect("well-formed checkpoint");
-            assert_eq!(ckpt.encode(), text, "checkpoint must be byte-stable");
-
-            for resume_threads in [1usize, 4] {
-                let resume_opts = ServeOptions {
-                    serve_mode,
-                    edge_threads: resume_threads,
-                    telemetry: true,
-                    ..ServeOptions::default()
-                };
-                let mut tail =
-                    ServeSession::resume(cfg.clone(), &zoo, Combo::ours(), &ckpt, &resume_opts)
-                        .expect("resume");
-                assert_eq!(tail.next_slot(), k);
-                for t in k..horizon {
-                    tail.push_slot(&slot_row(&arrivals, t));
-                }
-                let out = tail.finish();
-                assert_eq!(
-                    out.record, full_out.record,
-                    "record diverged resuming at k={k} with {resume_threads} \
-                     edge threads ({serve_mode:?})"
-                );
-                assert_eq!(
-                    out.telemetry.expect("telemetry on").to_jsonl_string(),
-                    full_trace,
-                    "trace diverged resuming at k={k} with {resume_threads} \
-                     edge threads ({serve_mode:?})"
-                );
-            }
+            let out = tail.finish();
+            assert_eq!(
+                out.record, full_out.record,
+                "record diverged resuming at k={k} with {resume_threads} \
+                 edge threads"
+            );
+            assert_eq!(
+                out.telemetry.expect("telemetry on").to_jsonl_string(),
+                full_trace,
+                "trace diverged resuming at k={k} with {resume_threads} \
+                 edge threads"
+            );
         }
     }
 }
@@ -211,69 +203,65 @@ fn checkpoints_at_any_slot_resume_bit_identically() {
     let horizon = cfg.horizon;
     let root = SeedSequence::new(SEED);
 
-    for serve_mode in [ServeMode::Batched, ServeMode::PerRequest] {
-        let report = evaluate_many_with(
-            &cfg,
-            &zoo,
-            &[SEED],
-            &[PolicySpec::Combo(Combo::ours())],
-            &EvalOptions {
-                threads: Some(1),
-                telemetry: true,
-                serve_mode,
-                ..EvalOptions::default()
-            },
-        );
-        let batch_trace = report.telemetry[0].to_jsonl_string();
-        // Reference record: the sequential engine, driven directly.
-        let env = Environment::with_serve_mode(cfg.clone(), &zoo, &root.derive("env"), serve_mode);
-        let mut policy = Combo::ours().build(&env, &root.derive("alg"));
-        let batch_record = env.run_with(&mut policy, None, None);
-        assert_eq!(
-            batch_record, report.results[0].records[0],
-            "the batch driver changed the record ({serve_mode:?})"
-        );
-
-        let opts = ServeOptions {
-            serve_mode,
-            edge_threads: 1,
+    let report = evaluate_many_with(
+        &cfg,
+        &zoo,
+        &[SEED],
+        &[PolicySpec::Combo(Combo::ours())],
+        &EvalOptions {
+            threads: Some(1),
             telemetry: true,
-            ..ServeOptions::default()
-        };
-        for k in [2, 4, 5, 7, horizon / 2 + 1, horizon / 2 + 2] {
-            let mut head = ServeSession::new(cfg.clone(), &zoo, SEED, Combo::ours(), &opts);
-            for t in 0..k {
-                head.push_slot(&slot_row(&arrivals, t));
-            }
-            let ckpt = head.checkpoint().expect("Ours must checkpoint");
-            let text = ckpt.encode();
-            let ckpt = Checkpoint::parse(&text).expect("well-formed checkpoint");
+            ..EvalOptions::default()
+        },
+    );
+    let batch_trace = report.telemetry[0].to_jsonl_string();
+    // Reference record: the sequential engine, driven directly.
+    let env = Environment::new(cfg.clone(), &zoo, &root.derive("env"));
+    let mut policy = Combo::ours().build(&env, &root.derive("alg"));
+    let batch_record = env.run_with(&mut policy, None, None);
+    assert_eq!(
+        batch_record, report.results[0].records[0],
+        "the batch driver changed the record"
+    );
 
-            let mut tail = ServeSession::resume(
-                cfg.clone(),
-                &zoo,
-                Combo::ours(),
-                &ckpt,
-                &ServeOptions {
-                    edge_threads: 4,
-                    ..opts.clone()
-                },
-            )
-            .expect("resume");
-            for t in k..horizon {
-                tail.push_slot(&slot_row(&arrivals, t));
-            }
-            let out = tail.finish();
-            assert_eq!(
-                out.record, batch_record,
-                "record diverged: checkpoint at k={k} ({serve_mode:?})"
-            );
-            assert_eq!(
-                out.telemetry.expect("telemetry on").to_jsonl_string(),
-                batch_trace,
-                "trace diverged: checkpoint at k={k} ({serve_mode:?})"
-            );
+    let opts = ServeOptions {
+        edge_threads: 1,
+        telemetry: true,
+        ..ServeOptions::default()
+    };
+    for k in [2, 4, 5, 7, horizon / 2 + 1, horizon / 2 + 2] {
+        let mut head = ServeSession::new(cfg.clone(), &zoo, SEED, Combo::ours(), &opts);
+        for t in 0..k {
+            head.push_slot(&slot_row(&arrivals, t));
         }
+        let ckpt = head.checkpoint().expect("Ours must checkpoint");
+        let text = ckpt.encode();
+        let ckpt = Checkpoint::parse(&text).expect("well-formed checkpoint");
+
+        let mut tail = ServeSession::resume(
+            cfg.clone(),
+            &zoo,
+            Combo::ours(),
+            &ckpt,
+            &ServeOptions {
+                edge_threads: 4,
+                ..opts.clone()
+            },
+        )
+        .expect("resume");
+        for t in k..horizon {
+            tail.push_slot(&slot_row(&arrivals, t));
+        }
+        let out = tail.finish();
+        assert_eq!(
+            out.record, batch_record,
+            "record diverged: checkpoint at k={k}"
+        );
+        assert_eq!(
+            out.telemetry.expect("telemetry on").to_jsonl_string(),
+            batch_trace,
+            "trace diverged: checkpoint at k={k}"
+        );
     }
 }
 
@@ -375,7 +363,6 @@ fn resume_rejects_mismatched_invocations() {
     let (zoo, cfg) = setup();
     let arrivals = raw_arrivals(&cfg, SEED);
     let opts = ServeOptions {
-        serve_mode: ServeMode::Batched,
         edge_threads: 1,
         telemetry: false,
         ..ServeOptions::default()
@@ -397,18 +384,12 @@ fn resume_rejects_mismatched_invocations() {
     .unwrap_err();
     assert!(err.contains("policy"), "{err}");
 
-    // Wrong serve mode.
-    let err = ServeSession::resume(
-        cfg.clone(),
-        &zoo,
-        Combo::ours(),
-        &ckpt,
-        &ServeOptions {
-            serve_mode: ServeMode::PerRequest,
-            ..opts.clone()
-        },
-    )
-    .unwrap_err();
+    // A checkpoint written in the removed per-request serve mode.
+    let per_request = ckpt.encode().replace(
+        "\"serve_mode\":\"batched\"",
+        "\"serve_mode\":\"per-request\"",
+    );
+    let err = Checkpoint::parse(&per_request).unwrap_err();
     assert!(err.contains("serve mode"), "{err}");
 
     // Wrong fault scenario.

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 
 use cne_core::wal::{self, GroupCommit, Wal, WalOptions, WalRecord};
 use cne_core::{Checkpoint, Combo, ServeOptions, ServeSession};
-use cne_edgesim::{RunRecord, ServeMode, SimConfig};
+use cne_edgesim::{RunRecord, SimConfig};
 use cne_faults::FaultScenario;
 use cne_nn::{ModelZoo, ZooConfig};
 use cne_simdata::dataset::TaskKind;
@@ -67,9 +67,8 @@ fn daemon_records(arrivals: &[Vec<u64>], upto: usize) -> Vec<WalRecord> {
     records
 }
 
-fn serve_opts(serve_mode: ServeMode, edge_threads: usize) -> ServeOptions {
+fn serve_opts(edge_threads: usize) -> ServeOptions {
     ServeOptions {
-        serve_mode,
         edge_threads,
         telemetry: true,
         ..ServeOptions::default()
@@ -77,19 +76,8 @@ fn serve_opts(serve_mode: ServeMode, edge_threads: usize) -> ServeOptions {
 }
 
 /// Uninterrupted reference run: `(record json-able struct, trace bytes)`.
-fn reference(
-    zoo: &ModelZoo,
-    cfg: &SimConfig,
-    arrivals: &[Vec<u64>],
-    serve_mode: ServeMode,
-) -> (RunRecord, String) {
-    let mut session = ServeSession::new(
-        cfg.clone(),
-        zoo,
-        SEED,
-        Combo::ours(),
-        &serve_opts(serve_mode, 1),
-    );
+fn reference(zoo: &ModelZoo, cfg: &SimConfig, arrivals: &[Vec<u64>]) -> (RunRecord, String) {
+    let mut session = ServeSession::new(cfg.clone(), zoo, SEED, Combo::ours(), &serve_opts(1));
     for t in 0..cfg.horizon {
         session.push_slot(&slot_row(arrivals, t));
     }
@@ -106,7 +94,6 @@ fn recover_and_finish(
     cfg: &SimConfig,
     arrivals: &[Vec<u64>],
     dir: &std::path::Path,
-    serve_mode: ServeMode,
     edge_threads: usize,
 ) -> (RunRecord, String) {
     let (_wal, recovery) = Wal::open(dir, WalOptions::default()).expect("open WAL");
@@ -116,7 +103,7 @@ fn recover_and_finish(
         zoo,
         SEED,
         Combo::ours(),
-        &serve_opts(serve_mode, edge_threads),
+        &serve_opts(edge_threads),
     );
     session.apply_wal_tail(&tail).expect("apply tail");
     let cursor = session.next_slot();
@@ -153,20 +140,17 @@ fn full_wal_replay_is_bit_identical() {
         wal.append(&record).expect("append");
     }
     drop(wal);
-    for serve_mode in [ServeMode::Batched, ServeMode::PerRequest] {
-        let (ref_record, ref_trace) = reference(&zoo, &cfg, &arrivals, serve_mode);
-        for edge_threads in [1usize, 4] {
-            let (record, trace) =
-                recover_and_finish(&zoo, &cfg, &arrivals, &dir, serve_mode, edge_threads);
-            assert_eq!(
-                record, ref_record,
-                "record diverged ({serve_mode:?}, {edge_threads} edge threads)"
-            );
-            assert_eq!(
-                trace, ref_trace,
-                "trace diverged ({serve_mode:?}, {edge_threads} edge threads)"
-            );
-        }
+    let (ref_record, ref_trace) = reference(&zoo, &cfg, &arrivals);
+    for edge_threads in [1usize, 4] {
+        let (record, trace) = recover_and_finish(&zoo, &cfg, &arrivals, &dir, edge_threads);
+        assert_eq!(
+            record, ref_record,
+            "record diverged ({edge_threads} edge threads)"
+        );
+        assert_eq!(
+            trace, ref_trace,
+            "trace diverged ({edge_threads} edge threads)"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -224,7 +208,7 @@ fn every_truncation_point_recovers_bit_identically() {
     cuts.sort_unstable();
     cuts.dedup();
 
-    let (ref_record, ref_trace) = reference(&zoo, &cfg, &arrivals, ServeMode::Batched);
+    let (ref_record, ref_trace) = reference(&zoo, &cfg, &arrivals);
     for &cut in &cuts {
         let dir = temp_dir("cut");
         std::fs::write(dir.join(seg_name), &full[..cut]).expect("write cut");
@@ -232,8 +216,7 @@ fn every_truncation_point_recovers_bit_identically() {
             let scan = wal::read_records(&dir).expect("scan");
             assert!(scan.torn.is_some(), "mid-frame cut at {cut} must be torn");
         }
-        let (record, trace) =
-            recover_and_finish(&zoo, &cfg, &arrivals, &dir, ServeMode::Batched, 1);
+        let (record, trace) = recover_and_finish(&zoo, &cfg, &arrivals, &dir, 1);
         assert_eq!(record, ref_record, "record diverged at cut {cut}");
         assert_eq!(trace, ref_trace, "trace diverged at cut {cut}");
         std::fs::remove_dir_all(&dir).ok();
@@ -254,86 +237,78 @@ fn checkpoint_plus_wal_tail_resumes_bit_identically() {
     let m = k + horizon / 4 + 1; // slots fully logged past the checkpoint
     assert!(m < horizon);
 
-    for serve_mode in [ServeMode::Batched, ServeMode::PerRequest] {
-        let (ref_record, ref_trace) = reference(&zoo, &cfg, &arrivals, serve_mode);
+    let (ref_record, ref_trace) = reference(&zoo, &cfg, &arrivals);
 
-        // Head run with the daemon's write-ahead discipline, a durable
-        // checkpoint at slot k, then more logged slots and a torn
-        // mid-slot batch for slot m before the "crash".
-        let dir = temp_dir("ckpt");
-        let (mut wal, _) = Wal::open(&dir, WalOptions::default()).expect("open");
-        let mut head = ServeSession::new(
+    // Head run with the daemon's write-ahead discipline, a durable
+    // checkpoint at slot k, then more logged slots and a torn
+    // mid-slot batch for slot m before the "crash".
+    let dir = temp_dir("ckpt");
+    let (mut wal, _) = Wal::open(&dir, WalOptions::default()).expect("open");
+    let mut head = ServeSession::new(cfg.clone(), &zoo, SEED, Combo::ours(), &serve_opts(1));
+    for record in daemon_records(&arrivals, k) {
+        wal.append(&record).expect("append");
+    }
+    for t in 0..k {
+        head.push_slot(&slot_row(&arrivals, t));
+    }
+    let text = head.checkpoint().expect("checkpoint").encode();
+    wal.install_checkpoint(k as u64).expect("install");
+    for record in daemon_records(&arrivals, m)
+        .into_iter()
+        .filter(|r| match r {
+            WalRecord::Arrivals { slot, .. }
+            | WalRecord::ArrivalSums { slot, .. }
+            | WalRecord::SlotClose { slot } => *slot >= k as u64,
+            WalRecord::CheckpointInstalled { .. } => true,
+        })
+    {
+        wal.append(&record).expect("append");
+    }
+    // A partial batch for the open slot m: the first edge with
+    // traffic and a zero-count line are group-committed before the
+    // crash.
+    let edge = (0..cfg.num_edges)
+        .find(|&e| arrivals[e][m] > 0)
+        .unwrap_or(0);
+    let mut partial = GroupCommit::new(cfg.num_edges);
+    partial.add(edge, arrivals[edge][m]);
+    partial.add(edge, 0);
+    wal.append(&partial.take(m as u64).expect("two lines"))
+        .expect("append");
+    drop(wal);
+
+    for edge_threads in [1usize, 4] {
+        let ckpt = Checkpoint::parse(&text).expect("well-formed checkpoint");
+        let mut session = ServeSession::resume(
             cfg.clone(),
             &zoo,
-            SEED,
             Combo::ours(),
-            &serve_opts(serve_mode, 1),
+            &ckpt,
+            &serve_opts(edge_threads),
+        )
+        .expect("resume");
+        let (_wal, recovery) = Wal::open(&dir, WalOptions::default()).expect("reopen");
+        let tail = wal::replay(&recovery.records, cfg.num_edges, k as u64).expect("replay");
+        assert_eq!(tail.start_slot as usize, k);
+        assert_eq!(tail.closed.len(), m - k);
+        assert_eq!(tail.open_lines, 2, "both logged lines of slot {m}");
+        session.apply_wal_tail(&tail).expect("apply tail");
+        assert_eq!(session.next_slot(), m);
+        for t in m..horizon {
+            session.push_slot(&slot_row(&arrivals, t));
+        }
+        let out = session.finish();
+        assert_eq!(
+            out.record, ref_record,
+            "record diverged ({edge_threads} edge threads)"
         );
-        for record in daemon_records(&arrivals, k) {
-            wal.append(&record).expect("append");
-        }
-        for t in 0..k {
-            head.push_slot(&slot_row(&arrivals, t));
-        }
-        let text = head.checkpoint().expect("checkpoint").encode();
-        wal.install_checkpoint(k as u64).expect("install");
-        for record in daemon_records(&arrivals, m)
-            .into_iter()
-            .filter(|r| match r {
-                WalRecord::Arrivals { slot, .. }
-                | WalRecord::ArrivalSums { slot, .. }
-                | WalRecord::SlotClose { slot } => *slot >= k as u64,
-                WalRecord::CheckpointInstalled { .. } => true,
-            })
-        {
-            wal.append(&record).expect("append");
-        }
-        // A partial batch for the open slot m: the first edge with
-        // traffic and a zero-count line are group-committed before the
-        // crash.
-        let edge = (0..cfg.num_edges)
-            .find(|&e| arrivals[e][m] > 0)
-            .unwrap_or(0);
-        let mut partial = GroupCommit::new(cfg.num_edges);
-        partial.add(edge, arrivals[edge][m]);
-        partial.add(edge, 0);
-        wal.append(&partial.take(m as u64).expect("two lines"))
-            .expect("append");
-        drop(wal);
-
-        for edge_threads in [1usize, 4] {
-            let ckpt = Checkpoint::parse(&text).expect("well-formed checkpoint");
-            let mut session = ServeSession::resume(
-                cfg.clone(),
-                &zoo,
-                Combo::ours(),
-                &ckpt,
-                &serve_opts(serve_mode, edge_threads),
-            )
-            .expect("resume");
-            let (_wal, recovery) = Wal::open(&dir, WalOptions::default()).expect("reopen");
-            let tail = wal::replay(&recovery.records, cfg.num_edges, k as u64).expect("replay");
-            assert_eq!(tail.start_slot as usize, k);
-            assert_eq!(tail.closed.len(), m - k);
-            assert_eq!(tail.open_lines, 2, "both logged lines of slot {m}");
-            session.apply_wal_tail(&tail).expect("apply tail");
-            assert_eq!(session.next_slot(), m);
-            for t in m..horizon {
-                session.push_slot(&slot_row(&arrivals, t));
-            }
-            let out = session.finish();
-            assert_eq!(
-                out.record, ref_record,
-                "record diverged ({serve_mode:?}, {edge_threads} edge threads)"
-            );
-            assert_eq!(
-                out.telemetry.expect("telemetry on").to_jsonl_string(),
-                ref_trace,
-                "trace diverged ({serve_mode:?}, {edge_threads} edge threads)"
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(
+            out.telemetry.expect("telemetry on").to_jsonl_string(),
+            ref_trace,
+            "trace diverged ({edge_threads} edge threads)"
+        );
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A tail that does not continue the checkpoint is refused — wrong
@@ -342,7 +317,7 @@ fn checkpoint_plus_wal_tail_resumes_bit_identically() {
 fn apply_wal_tail_rejects_inconsistent_tails() {
     let (zoo, cfg) = setup();
     let arrivals = raw_arrivals(&cfg, SEED);
-    let opts = serve_opts(ServeMode::Batched, 1);
+    let opts = serve_opts(1);
     let mut session = ServeSession::new(cfg.clone(), &zoo, SEED, Combo::ours(), &opts);
     for t in 0..3 {
         session.push_slot(&slot_row(&arrivals, t));

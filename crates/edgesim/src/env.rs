@@ -21,31 +21,7 @@ use crate::lanes::{replay_tele, EdgeLanes, EdgePartial, PendingDownload, TeleOp,
 use crate::policy::{EdgeSlotOutcome, Policy, SlotFeedback};
 use crate::record::{RunRecord, SlotRecord};
 
-/// How the per-slot request streams are reduced to slot statistics.
-///
-/// Both modes draw *exactly the same* sample indices from the stream
-/// RNG at construction; they differ only in **when** the per-slot
-/// reduction (`mean_loss_at` / `accuracy_at`) happens. Because the
-/// batched mode runs the identical reductions on the identical index
-/// sequences (just once per eval table, ahead of time), the two modes
-/// produce bit-identical [`RunRecord`]s — a property the equivalence
-/// tests pin down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeMode {
-    /// Pre-reduce every slot's drawn indices into per-table sufficient
-    /// statistics (mean loss, accuracy) at construction; serving is
-    /// then an O(1) lookup per edge-slot instead of an O(samples)
-    /// loop. The default.
-    #[default]
-    Batched,
-    /// Keep the drawn indices and reduce them at serve time — the
-    /// legacy per-request loop, retained as the reference the
-    /// equivalence tests compare the batched mode against.
-    PerRequest,
-}
-
-/// Transposed per-sample evaluation lanes for the batched slot
-/// reduction.
+/// Transposed per-sample evaluation lanes for the slot reduction.
 ///
 /// [`EvalTable`](cne_nn::zoo::EvalTable) stores one loss/correctness
 /// vector *per model*, so
@@ -180,10 +156,11 @@ impl StatLanes {
 /// A fully realized simulation instance.
 ///
 /// Everything that does not depend on policy decisions — topology,
-/// per-edge workload traces, the price series, and the stream sample
-/// indices of every slot — is drawn once at construction, so multiple
-/// policies run on *identical* inputs (the paper compares algorithms on
-/// the same traces).
+/// per-edge workload traces, the price series, and the stream samples
+/// of every slot — is drawn once at construction, so multiple policies
+/// run on *identical* inputs (the paper compares algorithms on the same
+/// traces). A streaming environment ([`Environment::streaming`]) draws
+/// the arrival-dependent part one slot at a time instead.
 #[derive(Debug)]
 pub struct Environment<'a> {
     config: SimConfig,
@@ -194,19 +171,19 @@ pub struct Environment<'a> {
     /// `v_{i,n}` in ms: model base latency × edge compute factor,
     /// clamped to the paper's `[25, 150]` ms band.
     latencies: Vec<Vec<f64>>,
-    /// Pre-drawn pool indices per `[edge][slot]`
-    /// ([`ServeMode::PerRequest`] only; empty in batched mode).
-    slot_indices: Vec<Vec<Vec<usize>>>,
-    serve_mode: ServeMode,
-    /// Cached `mean_loss_at` per `(edge, slot, table)`, flattened as
-    /// `(i * horizon + t) * num_models + table`
-    /// ([`ServeMode::Batched`] only).
+    /// Cached `mean_loss_at` per `(edge, slot, table)`. A batch
+    /// environment holds every slot, flattened as
+    /// `(i * horizon + t) * num_models + table`, because
+    /// [`Environment::run`] replays it under many policies. A streaming
+    /// environment holds only the last ingested slot, flattened as
+    /// `i * num_models + table`: [`Environment::ingest_slot`]
+    /// overwrites it, and only that slot's serve stage reads it.
     slot_loss: Vec<f64>,
-    /// Cached `accuracy_at`, same layout ([`ServeMode::Batched`] only).
+    /// Cached `accuracy_at`, same layout as `slot_loss`.
     slot_acc: Vec<f64>,
     /// Transposed `[pool_sample][table]` evaluation lanes feeding the
-    /// batched slot reductions ([`ServeMode::Batched`] only).
-    lanes: Option<StatLanes>,
+    /// slot reductions.
+    lanes: StatLanes,
     /// `expected_loss()` per eval table, cached at construction — the
     /// run loop charges it once per edge-slot, and recomputing the
     /// pool mean there would dominate serving.
@@ -362,30 +339,15 @@ impl<'a> Environment<'a> {
     /// [`SimConfig::validate`]).
     #[must_use]
     pub fn new(config: SimConfig, zoo: &'a ModelZoo, seed: &SeedSequence) -> Self {
-        Self::with_serve_mode(config, zoo, seed, ServeMode::default())
-    }
-
-    /// As [`Environment::new`], with an explicit [`ServeMode`].
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid (see
-    /// [`SimConfig::validate`]).
-    #[must_use]
-    pub fn with_serve_mode(
-        config: SimConfig,
-        zoo: &'a ModelZoo,
-        seed: &SeedSequence,
-        serve_mode: ServeMode,
-    ) -> Self {
         config.validate().expect("invalid simulator configuration");
         let workload_gen = DiurnalWorkload::new(config.workload);
         let workloads: Vec<WorkloadTrace> = (0..config.num_edges)
             .map(|i| workload_gen.trace(i, &seed.derive("workload")))
             .collect();
-        Self::build(config, zoo, seed, serve_mode, workloads, false)
+        Self::build(config, zoo, seed, workloads, false)
     }
 
-    /// As [`Environment::with_serve_mode`], but replaying an explicit
+    /// As [`Environment::new`], but replaying an explicit
     /// per-edge raw arrival trace instead of drawing the diurnal
     /// workload — the batch twin of a streamed run. The counts are
     /// *pre-fault* arrivals: an attached fault scenario shapes them
@@ -401,7 +363,6 @@ impl<'a> Environment<'a> {
         config: SimConfig,
         zoo: &'a ModelZoo,
         seed: &SeedSequence,
-        serve_mode: ServeMode,
         arrivals: &[Vec<u64>],
     ) -> Self {
         config.validate().expect("invalid simulator configuration");
@@ -421,7 +382,7 @@ impl<'a> Environment<'a> {
                 WorkloadTrace::from_counts(row.clone())
             })
             .collect();
-        Self::build(config, zoo, seed, serve_mode, workloads, false)
+        Self::build(config, zoo, seed, workloads, false)
     }
 
     /// Realizes a *streaming* environment: everything that does not
@@ -431,40 +392,38 @@ impl<'a> Environment<'a> {
     /// arrival counts are supplied later, one slot at a time, through
     /// [`Environment::ingest_slot`].
     ///
-    /// Ingesting the same raw counts that
-    /// [`Environment::with_arrival_trace`] was given reproduces that
-    /// batch environment bit-identically: per-edge stream RNGs are
-    /// independent, so drawing slot-by-slot (streaming) instead of
-    /// edge-by-edge (batch) consumes each edge's RNG in the same
-    /// order.
+    /// Ingesting slot t and then stepping slot t, for every t in
+    /// order, reproduces a run of
+    /// [`Environment::with_arrival_trace`] on the same raw counts
+    /// bit-identically: per-edge stream RNGs are independent, so
+    /// drawing slot-by-slot (streaming) instead of edge-by-edge
+    /// (batch) consumes each edge's RNG in the same order.
+    ///
+    /// The slot statistics are held for one slot only (edges × models
+    /// cells, whatever the horizon), so each slot must be served right
+    /// after it is ingested (see [`RunStepper::step`]).
     ///
     /// # Panics
     /// Panics if the configuration is invalid (see
     /// [`SimConfig::validate`]).
     #[must_use]
-    pub fn streaming(
-        config: SimConfig,
-        zoo: &'a ModelZoo,
-        seed: &SeedSequence,
-        serve_mode: ServeMode,
-    ) -> Self {
+    pub fn streaming(config: SimConfig, zoo: &'a ModelZoo, seed: &SeedSequence) -> Self {
         config.validate().expect("invalid simulator configuration");
         let workloads: Vec<WorkloadTrace> = (0..config.num_edges)
             .map(|_| WorkloadTrace::from_counts(vec![0; config.horizon]))
             .collect();
-        Self::build(config, zoo, seed, serve_mode, workloads, true)
+        Self::build(config, zoo, seed, workloads, true)
     }
 
     /// Shared constructor body: realizes everything around the given
     /// raw (pre-fault) workload traces. When `streaming` is set the
     /// stream draws and slot statistics are deferred to
-    /// [`Environment::ingest_slot`]; otherwise they are consumed here,
-    /// exactly as before.
+    /// [`Environment::ingest_slot`]; otherwise every slot is drawn and
+    /// reduced here.
     fn build(
         config: SimConfig,
         zoo: &'a ModelZoo,
         seed: &SeedSequence,
-        serve_mode: ServeMode,
         mut workloads: Vec<WorkloadTrace>,
         streaming: bool,
     ) -> Self {
@@ -479,9 +438,8 @@ impl<'a> Environment<'a> {
         // (attaching a scenario never perturbs any other realization),
         // then apply the workload-shaping faults — outages zero a
         // slot's arrivals, surges multiply them — to the traces
-        // *before* the stream indices are drawn below. Both serve modes
-        // then reduce the identical realized slots, which keeps them
-        // bit-identical under faults.
+        // *before* the stream indices are drawn below, exactly as
+        // `ingest_slot` shapes a streamed slot.
         let faults = config.faults.as_ref().map(|scenario| {
             FaultSchedule::realize(
                 scenario.clone(),
@@ -529,69 +487,35 @@ impl<'a> Environment<'a> {
             })
             .collect();
         let num_models = zoo.len();
-        let cells = config.num_edges * config.horizon * num_models;
-        // Batched mode reduces through the transposed lanes; the
-        // per-request path reduces straight off the eval tables.
-        let lanes = match serve_mode {
-            ServeMode::Batched => Some(StatLanes::build(zoo)),
-            ServeMode::PerRequest => None,
-        };
-        let (mut slot_indices, slot_loss, slot_acc): (Vec<Vec<Vec<usize>>>, Vec<f64>, Vec<f64>);
-        if streaming {
-            // Streaming: keep the stream RNGs and pre-size the per-slot
-            // caches; `ingest_slot` fills one slot column at a time
-            // with the identical draws and reductions.
-            slot_indices = match serve_mode {
-                ServeMode::Batched => Vec::new(),
-                ServeMode::PerRequest => {
-                    vec![vec![Vec::new(); config.horizon]; config.num_edges]
-                }
-            };
-            (slot_loss, slot_acc) = match serve_mode {
-                ServeMode::Batched => (vec![0.0; cells], vec![0.0; cells]),
-                ServeMode::PerRequest => (Vec::new(), Vec::new()),
-            };
+        let lanes = StatLanes::build(zoo);
+        let (slot_loss, slot_acc) = if streaming {
+            // Streaming: keep the stream RNGs; `ingest_slot` draws and
+            // reduces one slot at a time into these edge × model cells.
+            let cells = config.num_edges * num_models;
+            (vec![0.0; cells], vec![0.0; cells])
         } else {
-            slot_indices = streams
-                .iter_mut()
-                .enumerate()
-                .map(|(i, stream)| {
-                    (0..config.horizon)
-                        .map(|t| {
-                            stream
-                                .draw_slot_capped(workloads[i].arrivals(t), config.loss_sample_cap)
-                        })
-                        .collect()
-                })
-                .collect();
-            streams = Vec::new();
-            // Batched mode reduces every slot's drawn indices into
-            // per-table sufficient statistics up front — the same
-            // `EvalTable` reductions the per-request path runs at
-            // serve time, on the same indices, so the cached values
-            // are bit-identical — and then drops the indices.
-            (slot_loss, slot_acc) = match serve_mode {
-                ServeMode::Batched => {
-                    let stat_lanes = lanes.as_ref().expect("batched mode builds lanes");
-                    let mut loss = vec![0.0; cells];
-                    let mut acc = vec![0.0; cells];
-                    let mut cell = 0;
-                    for per_edge in &slot_indices {
-                        for indices in per_edge {
-                            stat_lanes.reduce(
-                                indices,
-                                &mut loss[cell..cell + num_models],
-                                &mut acc[cell..cell + num_models],
-                            );
-                            cell += num_models;
-                        }
-                    }
-                    slot_indices = Vec::new();
-                    (loss, acc)
+            // Batch: draw every slot of every edge in slot order and
+            // reduce each draw into its cells at once, so no drawn
+            // indices outlive their slot.
+            let cells = config.num_edges * config.horizon * num_models;
+            let mut loss = vec![0.0; cells];
+            let mut acc = vec![0.0; cells];
+            let mut cell = 0;
+            for (stream, workload) in streams.iter_mut().zip(&workloads) {
+                for t in 0..config.horizon {
+                    let indices =
+                        stream.draw_slot_capped(workload.arrivals(t), config.loss_sample_cap);
+                    lanes.reduce(
+                        &indices,
+                        &mut loss[cell..cell + num_models],
+                        &mut acc[cell..cell + num_models],
+                    );
+                    cell += num_models;
                 }
-                ServeMode::PerRequest => (Vec::new(), Vec::new()),
-            };
-        }
+            }
+            streams = Vec::new();
+            (loss, acc)
+        };
         let expected_losses: Vec<f64> = zoo
             .models()
             .iter()
@@ -624,8 +548,6 @@ impl<'a> Environment<'a> {
             workloads,
             prices,
             latencies,
-            slot_indices,
-            serve_mode,
             slot_loss,
             slot_acc,
             lanes,
@@ -658,11 +580,11 @@ impl<'a> Environment<'a> {
     /// counts (surges multiply, outages zero), the workload trace is
     /// extended, and each edge's stream draws the slot's sample
     /// indices — consuming the per-edge RNGs in exactly the order
-    /// batch construction does, so a fully ingested streaming
-    /// environment is bit-identical to
-    /// [`Environment::with_arrival_trace`] on the same counts.
+    /// batch construction does — and reduces them into the slot
+    /// statistics, overwriting the previous slot's.
     ///
-    /// Slots must be ingested in order, starting at 0.
+    /// Slots must be ingested in order, starting at 0, and each one
+    /// served before the next is ingested.
     ///
     /// # Panics
     /// Panics on a batch environment, on an out-of-order or
@@ -692,48 +614,29 @@ impl<'a> Environment<'a> {
             }
             self.workloads[i].set(t, count);
             let indices = self.streams[i].draw_slot_capped(count, self.config.loss_sample_cap);
-            match self.serve_mode {
-                ServeMode::Batched => {
-                    let stat_lanes = self.lanes.as_ref().expect("batched mode builds lanes");
-                    let base = (i * self.config.horizon + t) * num_models;
-                    stat_lanes.reduce(
-                        &indices,
-                        &mut self.slot_loss[base..base + num_models],
-                        &mut self.slot_acc[base..base + num_models],
-                    );
-                }
-                ServeMode::PerRequest => {
-                    self.slot_indices[i][t] = indices;
-                }
-            }
+            let base = i * num_models;
+            self.lanes.reduce(
+                &indices,
+                &mut self.slot_loss[base..base + num_models],
+                &mut self.slot_acc[base..base + num_models],
+            );
         }
         self.ingested += 1;
     }
 
-    /// The serving mode this environment was realized with.
-    #[must_use]
-    pub fn serve_mode(&self) -> ServeMode {
-        self.serve_mode
-    }
-
-    /// Runs the batched-mode lane reduction for one slot's drawn pool
-    /// `indices`: per-table mean loss into `loss_out` and accuracy
-    /// into `acc_out` (one lane per eval table), bit-identical to the
-    /// scalar per-table
+    /// Runs the slot reduction for one slot's drawn pool `indices`:
+    /// per-table mean loss into `loss_out` and accuracy into `acc_out`
+    /// (one lane per eval table), bit-identical to the scalar
+    /// per-table
     /// [`mean_loss_at`](cne_nn::zoo::EvalTable::mean_loss_at) /
     /// [`accuracy_at`](cne_nn::zoo::EvalTable::accuracy_at) calls.
     /// Exposed so the benchmark suite can time the hot reduction
     /// kernel in isolation.
     ///
     /// # Panics
-    /// Panics on a [`ServeMode::PerRequest`] environment or when the
-    /// output slices are not one lane per table.
+    /// Panics when the output slices are not one lane per table.
     pub fn reduce_slot_stats(&self, indices: &[usize], loss_out: &mut [f64], acc_out: &mut [f64]) {
-        let lanes = self
-            .lanes
-            .as_ref()
-            .expect("lane reduction is a batched-mode structure");
-        lanes.reduce(indices, loss_out, acc_out);
+        self.lanes.reduce(indices, loss_out, acc_out);
     }
 
     /// The realized fault schedule, when [`SimConfig::faults`] is set.
@@ -742,10 +645,15 @@ impl<'a> Environment<'a> {
         self.faults.as_ref()
     }
 
-    /// Flat index into the batched statistic caches.
+    /// Flat index into the slot statistic caches (see `slot_loss`).
     #[inline]
     fn stat_index(&self, i: usize, t: usize, table: usize) -> usize {
-        (i * self.config.horizon + t) * self.zoo.len() + table
+        let row = if self.streaming {
+            i
+        } else {
+            i * self.config.horizon + t
+        };
+        row * self.zoo.len() + table
     }
 
     /// The eval-table index model `n` maps to at slot `t` (identity
@@ -1214,17 +1122,8 @@ impl<'a> Environment<'a> {
 
         let arrivals = self.workloads[i].arrivals(t);
         let effective = self.effective_table(n, t);
-        let (empirical_loss, accuracy) = match self.serve_mode {
-            ServeMode::Batched => {
-                let cell = self.stat_index(i, t, effective);
-                (self.slot_loss[cell], self.slot_acc[cell])
-            }
-            ServeMode::PerRequest => {
-                let indices = &self.slot_indices[i][t];
-                let table = &self.zoo.model(effective).eval;
-                (table.mean_loss_at(indices), table.accuracy_at(indices))
-            }
-        };
+        let cell = self.stat_index(i, t, effective);
+        let (empirical_loss, accuracy) = (self.slot_loss[cell], self.slot_acc[cell]);
 
         // Observational queueing metrics on the raw stream (the
         // emission model's workload scaling is a carbon-market
@@ -1433,8 +1332,9 @@ impl RunStepper {
     ///
     /// # Panics
     /// Panics past the horizon, on a streaming environment whose next
-    /// slot has not been ingested yet, or if the policy returns a
-    /// malformed placement vector.
+    /// slot is not the last ingested one (it holds only that slot's
+    /// statistics), or if the policy returns a malformed placement
+    /// vector.
     pub fn step(
         &mut self,
         env: &Environment,
@@ -1445,10 +1345,15 @@ impl RunStepper {
         let cfg = &env.config;
         let t = self.next_slot;
         assert!(t < cfg.horizon, "stepped past the horizon");
-        assert!(
-            !env.streaming || t < env.ingested,
-            "slot {t} has not been ingested yet"
-        );
+        if env.streaming {
+            assert!(t < env.ingested, "slot {t} has not been ingested yet");
+            assert_eq!(
+                t + 1,
+                env.ingested,
+                "slot {t} cannot be served: a streaming environment holds only the last \
+                 ingested slot"
+            );
+        }
         span_enter(&mut profiler, "slot");
         // Step 1: model selection and (possible) download.
         span_enter(&mut profiler, "select");
@@ -1962,36 +1867,42 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_and_per_request_serving_are_identical() {
-        let zoo = ModelZoo::train(
-            TaskKind::MnistLike,
-            &ZooConfig::fast(),
-            &SeedSequence::new(1),
-        );
-        let cfg = SimConfig::fast_test(TaskKind::MnistLike);
-        let batched = Environment::with_serve_mode(
-            cfg.clone(),
-            &zoo,
-            &SeedSequence::new(11),
-            ServeMode::Batched,
-        );
-        let per_request =
-            Environment::with_serve_mode(cfg, &zoo, &SeedSequence::new(11), ServeMode::PerRequest);
-        let mut rec_a = cne_util::telemetry::Recorder::new();
-        let mut rec_b = cne_util::telemetry::Recorder::new();
-        let a = batched.run_traced(&mut Static(1), &mut rec_a);
-        let b = per_request.run_traced(&mut Static(1), &mut rec_b);
-        assert_eq!(a, b, "serve modes must be bit-identical");
-        assert_eq!(
-            rec_a.to_jsonl_string(),
-            rec_b.to_jsonl_string(),
-            "serve modes must leave identical telemetry traces"
-        );
+    /// Runs `env`'s horizon as the serve daemon does: a streaming twin
+    /// of `env` (same seed, fed `env`'s raw arrivals) ingests slot t
+    /// and steps it at once, at `edge_threads` lanes.
+    pub(crate) fn run_streamed(
+        env: &Environment,
+        seed: &SeedSequence,
+        raw: &[Vec<u64>],
+        policy: &mut dyn Policy,
+        edge_threads: usize,
+    ) -> (RunRecord, String) {
+        let mut streamed = Environment::streaming(env.config().clone(), env.zoo(), seed);
+        let mut stepper = streamed.stepper(edge_threads);
+        let mut rec = cne_util::telemetry::Recorder::new();
+        for t in 0..env.horizon() {
+            let row: Vec<u64> = raw.iter().map(|edge| edge[t]).collect();
+            streamed.ingest_slot(t, &row);
+            stepper.step(&streamed, policy, Some(&mut rec), None);
+        }
+        let record = stepper.finish(&streamed, policy, Some(&mut rec));
+        (record, rec.to_jsonl_string())
+    }
+
+    /// The raw (pre-fault) diurnal counts [`Environment::new`] draws
+    /// for `cfg` under `seed`, one row per edge.
+    pub(crate) fn drawn_arrivals(cfg: &SimConfig, seed: &SeedSequence) -> Vec<Vec<u64>> {
+        let gen = DiurnalWorkload::new(cfg.workload);
+        (0..cfg.num_edges)
+            .map(|i| gen.trace(i, &seed.derive("workload")).counts().to_vec())
+            .collect()
     }
 
     #[test]
     fn serve_modes_identical_under_drift() {
+        // Batch and streamed environments index their statistic
+        // caches differently (every slot vs the last ingested one);
+        // the drift remap must hit the same cell in both.
         let zoo = ModelZoo::train(
             TaskKind::MnistLike,
             &ZooConfig::fast(),
@@ -1999,17 +1910,14 @@ mod tests {
         );
         let mut cfg = SimConfig::fast_test(TaskKind::MnistLike);
         cfg.quality_drift_at = Some(20);
-        let a = Environment::with_serve_mode(
-            cfg.clone(),
-            &zoo,
-            &SeedSequence::new(5),
-            ServeMode::Batched,
-        )
-        .run(&mut Static(0));
-        let b =
-            Environment::with_serve_mode(cfg, &zoo, &SeedSequence::new(5), ServeMode::PerRequest)
-                .run(&mut Static(0));
+        let seed = SeedSequence::new(5);
+        let env = Environment::new(cfg.clone(), &zoo, &seed);
+        let mut rec = cne_util::telemetry::Recorder::new();
+        let a = env.run_traced(&mut Static(0), &mut rec);
+        let (b, trace_b) =
+            run_streamed(&env, &seed, &drawn_arrivals(&cfg, &seed), &mut Static(0), 1);
         assert_eq!(a, b, "drift remap must hit the same cached statistics");
+        assert_eq!(rec.to_jsonl_string(), trace_b);
     }
 
     #[test]
@@ -2155,17 +2063,21 @@ mod fault_tests {
     fn serve_modes_and_reruns_bit_identical_under_faults() {
         let zoo = zoo();
         let cfg = faulty_cfg(FaultScenario::mixed("mixed-20", 0.2));
-        let run = |mode: ServeMode| {
-            let env = Environment::with_serve_mode(cfg.clone(), &zoo, &SeedSequence::new(42), mode);
+        let seed = SeedSequence::new(42);
+        let run = || {
+            let env = Environment::new(cfg.clone(), &zoo, &seed);
             let mut rec = cne_util::telemetry::Recorder::new();
             let record = env.run_traced(&mut Churner, &mut rec);
             (record, rec.to_jsonl_string())
         };
-        let (a, trace_a) = run(ServeMode::Batched);
-        let (b, trace_b) = run(ServeMode::PerRequest);
-        let (a2, trace_a2) = run(ServeMode::Batched);
+        let (a, trace_a) = run();
+        let (a2, trace_a2) = run();
         assert_eq!(a, a2, "same (seed, scenario) must replay bit-identically");
         assert_eq!(trace_a, trace_a2);
+        // The streamed twin (batch arrivals fed slot by slot) agrees.
+        let env = Environment::new(cfg.clone(), &zoo, &seed);
+        let raw = super::tests::drawn_arrivals(&cfg, &seed);
+        let (b, trace_b) = super::tests::run_streamed(&env, &seed, &raw, &mut Churner, 1);
         assert_eq!(a, b, "serve modes must agree under an active schedule");
         assert_eq!(trace_a, trace_b);
         // The schedule actually fired, and the run survived it.
@@ -2341,47 +2253,57 @@ mod parallel_tests {
         (record, rec.to_jsonl_string())
     }
 
+    /// Both ways an environment is fed — built whole, or streamed
+    /// slot by slot as the serve daemon does — at every lane count.
     #[test]
     fn worker_counts_agree_in_both_serve_modes() {
         let zoo = zoo();
-        for mode in [ServeMode::Batched, ServeMode::PerRequest] {
-            let env = Environment::with_serve_mode(cfg(), &zoo, &SeedSequence::new(52), mode);
-            let (base, base_trace) = run_churner(&env);
-            for edge_threads in [2, 3, 4] {
-                let (record, trace) = step_churner_at(&env, edge_threads);
-                assert_eq!(
-                    base, record,
-                    "records diverge at {edge_threads} edge threads ({mode:?})"
-                );
-                assert_eq!(
-                    base_trace, trace,
-                    "traces diverge at {edge_threads} edge threads ({mode:?})"
-                );
-            }
-            assert!(base_trace.contains("\"kind\":\"switch\""));
+        let seed = SeedSequence::new(52);
+        let env = Environment::new(cfg(), &zoo, &seed);
+        let raw = super::tests::drawn_arrivals(&cfg(), &seed);
+        let (base, base_trace) = run_churner(&env);
+        assert!(base_trace.contains("\"kind\":\"switch\""));
+        for edge_threads in [1, 2, 3, 4] {
+            let (record, trace) = step_churner_at(&env, edge_threads);
+            assert_eq!(
+                base, record,
+                "records diverge at {edge_threads} edge threads"
+            );
+            assert_eq!(
+                base_trace, trace,
+                "traces diverge at {edge_threads} edge threads"
+            );
+            let (record, trace) =
+                super::tests::run_streamed(&env, &seed, &raw, &mut Churner, edge_threads);
+            assert_eq!(
+                base, record,
+                "streamed records diverge at {edge_threads} edge threads"
+            );
+            assert_eq!(
+                base_trace, trace,
+                "streamed traces diverge at {edge_threads} edge threads"
+            );
         }
     }
 
     #[test]
     fn worker_counts_agree_under_faults() {
         let zoo = zoo();
-        for mode in [ServeMode::Batched, ServeMode::PerRequest] {
-            let mut cfg = cfg();
-            cfg.faults = Some(FaultScenario::mixed("mixed-20", 0.2));
-            let env = Environment::with_serve_mode(cfg, &zoo, &SeedSequence::new(53), mode);
-            let (base, base_trace) = run_churner(&env);
-            assert!(base_trace.contains("\"kind\":\"fault\""), "no fault events");
-            for edge_threads in [2, 3, 4] {
-                let (record, trace) = step_churner_at(&env, edge_threads);
-                assert_eq!(
-                    base, record,
-                    "faulted records diverge at {edge_threads} edge threads ({mode:?})"
-                );
-                assert_eq!(
-                    base_trace, trace,
-                    "faulted traces diverge at {edge_threads} edge threads ({mode:?})"
-                );
-            }
+        let mut cfg = cfg();
+        cfg.faults = Some(FaultScenario::mixed("mixed-20", 0.2));
+        let env = Environment::new(cfg, &zoo, &SeedSequence::new(53));
+        let (base, base_trace) = run_churner(&env);
+        assert!(base_trace.contains("\"kind\":\"fault\""), "no fault events");
+        for edge_threads in [2, 3, 4] {
+            let (record, trace) = step_churner_at(&env, edge_threads);
+            assert_eq!(
+                base, record,
+                "faulted records diverge at {edge_threads} edge threads"
+            );
+            assert_eq!(
+                base_trace, trace,
+                "faulted traces diverge at {edge_threads} edge threads"
+            );
         }
     }
 }
@@ -2478,12 +2400,7 @@ mod streaming_tests {
         }
 
         // The public kernel hook reduces through the same lanes.
-        let env = Environment::with_serve_mode(
-            faulty_cfg(),
-            &zoo,
-            &SeedSequence::new(67),
-            ServeMode::Batched,
-        );
+        let env = Environment::new(faulty_cfg(), &zoo, &SeedSequence::new(67));
         env.reduce_slot_stats(&cases[3], &mut loss, &mut acc);
         for n in 0..m {
             let table = &zoo.model(n).eval;
@@ -2492,46 +2409,155 @@ mod streaming_tests {
         }
     }
 
+    /// One fast zoo shared by every case of the lane property.
+    fn shared_zoo() -> &'static ModelZoo {
+        static ZOO: std::sync::OnceLock<ModelZoo> = std::sync::OnceLock::new();
+        ZOO.get_or_init(zoo)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+        /// Over arbitrary drawn-index sets — empty, repeated, and
+        /// reaching the last pool sample — the lane reduction is
+        /// `to_bits`-equal to every table's scalar folds.
+        #[test]
+        fn lane_reduce_matches_scalar_folds_on_arbitrary_indices(
+            raw in proptest::collection::vec(0u64..u64::MAX, 0..300),
+            keep in 0usize..4,
+            repeats in 0usize..50,
+            last in 0usize..3,
+        ) {
+            let zoo = shared_zoo();
+            let lanes = StatLanes::build(zoo);
+            let pool = zoo.pool().len();
+            let mut indices: Vec<usize> = if keep == 0 {
+                Vec::new()
+            } else {
+                raw.iter().map(|&r| (r % pool as u64) as usize).collect()
+            };
+            if let Some(&first) = indices.first() {
+                let at = indices.len() / 2;
+                indices.splice(at..at, std::iter::repeat(first).take(repeats));
+            }
+            indices.extend(std::iter::repeat(pool - 1).take(last));
+            let mut loss = vec![f64::NAN; zoo.len()];
+            let mut acc = vec![f64::NAN; zoo.len()];
+            lanes.reduce(&indices, &mut loss, &mut acc);
+            for n in 0..zoo.len() {
+                let table = &zoo.model(n).eval;
+                proptest::prop_assert_eq!(
+                    loss[n].to_bits(),
+                    table.mean_loss_at(&indices).to_bits(),
+                    "loss lane {} diverged on {} indices", n, indices.len()
+                );
+                proptest::prop_assert_eq!(
+                    acc[n].to_bits(),
+                    table.accuracy_at(&indices).to_bits(),
+                    "accuracy lane {} diverged on {} indices", n, indices.len()
+                );
+            }
+        }
+    }
+
+    /// Asserts that every table's cached statistics for edge `i` at
+    /// slot `t` are `to_bits`-equal to the scalar folds over
+    /// `indices`.
+    fn assert_cells_match(env: &Environment, i: usize, t: usize, indices: &[usize]) {
+        for n in 0..env.num_models() {
+            let table = &env.zoo().model(n).eval;
+            let cell = env.stat_index(i, t, n);
+            assert_eq!(
+                env.slot_loss[cell].to_bits(),
+                table.mean_loss_at(indices).to_bits(),
+                "cached loss of edge {i}, slot {t}, table {n} is not the scalar fold"
+            );
+            assert_eq!(
+                env.slot_acc[cell].to_bits(),
+                table.accuracy_at(indices).to_bits(),
+                "cached accuracy of edge {i}, slot {t}, table {n} is not the scalar fold"
+            );
+        }
+    }
+
+    /// The per-edge sample streams, redrawn from the environment's
+    /// seed exactly as construction derives them.
+    fn oracle_streams(env: &Environment, seed: &SeedSequence) -> Vec<DataStream> {
+        (0..env.num_edges())
+            .map(|i| {
+                DataStream::new(
+                    env.zoo().pool().len(),
+                    seed.derive("stream").derive_index(i as u64),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cached_statistics_match_scalar_folds_over_redrawn_indices() {
+        let zoo = zoo();
+        let cfg = faulty_cfg();
+        let cap = cfg.loss_sample_cap;
+        let seed = SeedSequence::new(69);
+        let raw = raw_arrivals(&cfg);
+
+        // Batch: every (edge, slot) cell of the horizon-sized cache.
+        let batch = Environment::with_arrival_trace(cfg.clone(), &zoo, &seed, &raw);
+        let mut streams = oracle_streams(&batch, &seed);
+        for (i, stream) in streams.iter_mut().enumerate() {
+            for t in 0..cfg.horizon {
+                let indices = stream.draw_slot_capped(batch.workload(i).arrivals(t), cap);
+                assert_cells_match(&batch, i, t, &indices);
+            }
+        }
+
+        // Streaming, interleaved as the daemon runs: after ingesting
+        // slot t, the one-slot cache holds exactly slot t's folds.
+        let mut streamed = Environment::streaming(cfg.clone(), &zoo, &seed);
+        let mut stepper = streamed.stepper(1);
+        let mut streams = oracle_streams(&streamed, &seed);
+        for t in 0..cfg.horizon {
+            let row: Vec<u64> = raw.iter().map(|edge| edge[t]).collect();
+            streamed.ingest_slot(t, &row);
+            for (i, stream) in streams.iter_mut().enumerate() {
+                let indices = stream.draw_slot_capped(streamed.workload(i).arrivals(t), cap);
+                assert_cells_match(&streamed, i, t, &indices);
+            }
+            stepper.step(&streamed, &mut Churner, None, None);
+        }
+        assert_eq!(
+            stepper.finish(&streamed, &mut Churner, None),
+            batch.run(&mut Churner)
+        );
+    }
+
+    #[test]
+    fn streaming_cache_holds_one_slot_whatever_the_horizon() {
+        let zoo = zoo();
+        for horizon in [1, 10, 40] {
+            let mut cfg = faulty_cfg();
+            cfg.horizon = horizon;
+            let cells = cfg.num_edges * zoo.len();
+            let streamed = Environment::streaming(cfg.clone(), &zoo, &SeedSequence::new(70));
+            assert_eq!(streamed.slot_loss.len(), cells, "horizon {horizon}");
+            assert_eq!(streamed.slot_acc.len(), cells, "horizon {horizon}");
+            // Batch environments keep every slot: `run` replays them.
+            let batch = Environment::new(cfg, &zoo, &SeedSequence::new(70));
+            assert_eq!(batch.slot_loss.len(), cells * horizon);
+        }
+    }
+
     #[test]
     fn arrival_trace_replay_matches_drawn_workload() {
         let zoo = zoo();
         let cfg = faulty_cfg();
         let seed = SeedSequence::new(62);
-        // The raw counts with_serve_mode draws internally, pre-fault.
-        let gen = DiurnalWorkload::new(cfg.workload);
-        let raw: Vec<Vec<u64>> = (0..cfg.num_edges)
-            .map(|i| gen.trace(i, &seed.derive("workload")).counts().to_vec())
-            .collect();
-        for mode in [ServeMode::Batched, ServeMode::PerRequest] {
-            let drawn = Environment::with_serve_mode(cfg.clone(), &zoo, &seed, mode);
-            let replayed = Environment::with_arrival_trace(cfg.clone(), &zoo, &seed, mode, &raw);
-            let (rec_a, trace_a) = run_traced(&drawn);
-            let (rec_b, trace_b) = run_traced(&replayed);
-            assert_eq!(rec_a, rec_b, "replay diverged from drawn run ({mode:?})");
-            assert_eq!(trace_a, trace_b, "replay telemetry diverged ({mode:?})");
-        }
-    }
-
-    #[test]
-    fn streaming_ingest_matches_batch_replay() {
-        let zoo = zoo();
-        let cfg = faulty_cfg();
-        let seed = SeedSequence::new(63);
-        let raw = raw_arrivals(&cfg);
-        for mode in [ServeMode::Batched, ServeMode::PerRequest] {
-            let batch = Environment::with_arrival_trace(cfg.clone(), &zoo, &seed, mode, &raw);
-            let mut streamed = Environment::streaming(cfg.clone(), &zoo, &seed, mode);
-            assert!(streamed.is_streaming() && streamed.ingested() == 0);
-            for t in 0..cfg.horizon {
-                let row: Vec<u64> = raw.iter().map(|edge| edge[t]).collect();
-                streamed.ingest_slot(t, &row);
-            }
-            assert_eq!(streamed.ingested(), cfg.horizon);
-            let (rec_a, trace_a) = run_traced(&batch);
-            let (rec_b, trace_b) = run_traced(&streamed);
-            assert_eq!(rec_a, rec_b, "streamed run diverged from batch ({mode:?})");
-            assert_eq!(trace_a, trace_b, "streamed telemetry diverged ({mode:?})");
-        }
+        let raw = super::tests::drawn_arrivals(&cfg, &seed);
+        let drawn = Environment::new(cfg.clone(), &zoo, &seed);
+        let replayed = Environment::with_arrival_trace(cfg, &zoo, &seed, &raw);
+        let (rec_a, trace_a) = run_traced(&drawn);
+        let (rec_b, trace_b) = run_traced(&replayed);
+        assert_eq!(rec_a, rec_b, "replay diverged from drawn run");
+        assert_eq!(trace_a, trace_b, "replay telemetry diverged");
     }
 
     #[test]
@@ -2540,58 +2566,58 @@ mod streaming_tests {
         let cfg = faulty_cfg();
         let seed = SeedSequence::new(64);
         let raw = raw_arrivals(&cfg);
-        let batch =
-            Environment::with_arrival_trace(cfg.clone(), &zoo, &seed, ServeMode::Batched, &raw);
+        let batch = Environment::with_arrival_trace(cfg.clone(), &zoo, &seed, &raw);
         let (want, want_trace) = run_traced(&batch);
-        // The serve-daemon shape: ingest slot t, then immediately run it.
-        let mut env = Environment::streaming(cfg.clone(), &zoo, &seed, ServeMode::Batched);
-        let mut stepper = env.stepper(1);
-        let mut policy = Churner;
-        let mut rec = Recorder::new();
-        for t in 0..cfg.horizon {
-            let row: Vec<u64> = raw.iter().map(|edge| edge[t]).collect();
-            env.ingest_slot(t, &row);
-            stepper.step(&env, &mut policy, Some(&mut rec), None);
+        // The serve-daemon shape: ingest slot t, then immediately run
+        // it, at one lane and at a ragged three-lane split.
+        for lanes in [1, 3] {
+            let mut env = Environment::streaming(cfg.clone(), &zoo, &seed);
+            assert!(env.is_streaming() && env.ingested() == 0);
+            let mut stepper = env.stepper(lanes);
+            let mut policy = Churner;
+            let mut rec = Recorder::new();
+            for t in 0..cfg.horizon {
+                let row: Vec<u64> = raw.iter().map(|edge| edge[t]).collect();
+                env.ingest_slot(t, &row);
+                stepper.step(&env, &mut policy, Some(&mut rec), None);
+            }
+            assert_eq!(env.ingested(), cfg.horizon);
+            let got = stepper.finish(&env, &mut policy, Some(&mut rec));
+            assert_eq!(got, want, "interleaved serve diverged at {lanes} lanes");
+            assert_eq!(
+                rec.to_jsonl_string(),
+                want_trace,
+                "telemetry diverged at {lanes} lanes"
+            );
         }
-        let got = stepper.finish(&env, &mut policy, Some(&mut rec));
-        assert_eq!(got, want, "interleaved serve diverged from batch run");
-        assert_eq!(rec.to_jsonl_string(), want_trace, "telemetry diverged");
     }
 
     #[test]
     fn sharded_stepper_matches_sequential_run() {
         let zoo = zoo();
-        for mode in [ServeMode::Batched, ServeMode::PerRequest] {
-            let env =
-                Environment::with_serve_mode(faulty_cfg(), &zoo, &SeedSequence::new(65), mode);
-            let (want, want_trace) = run_traced(&env);
-            for lanes in [2, 3] {
-                let mut stepper = env.stepper(lanes);
-                let mut policy = Churner;
-                let mut rec = Recorder::new();
-                for _ in 0..env.horizon() {
-                    stepper.step(&env, &mut policy, Some(&mut rec), None);
-                }
-                let got = stepper.finish(&env, &mut policy, Some(&mut rec));
-                assert_eq!(got, want, "stepper diverged at {lanes} lanes ({mode:?})");
-                assert_eq!(
-                    rec.to_jsonl_string(),
-                    want_trace,
-                    "stepper telemetry diverged at {lanes} lanes ({mode:?})"
-                );
+        let env = Environment::new(faulty_cfg(), &zoo, &SeedSequence::new(65));
+        let (want, want_trace) = run_traced(&env);
+        for lanes in [2, 3] {
+            let mut stepper = env.stepper(lanes);
+            let mut policy = Churner;
+            let mut rec = Recorder::new();
+            for _ in 0..env.horizon() {
+                stepper.step(&env, &mut policy, Some(&mut rec), None);
             }
+            let got = stepper.finish(&env, &mut policy, Some(&mut rec));
+            assert_eq!(got, want, "stepper diverged at {lanes} lanes");
+            assert_eq!(
+                rec.to_jsonl_string(),
+                want_trace,
+                "stepper telemetry diverged at {lanes} lanes"
+            );
         }
     }
 
     #[test]
     fn restored_stepper_resumes_bit_identically() {
         let zoo = zoo();
-        let env = Environment::with_serve_mode(
-            faulty_cfg(),
-            &zoo,
-            &SeedSequence::new(66),
-            ServeMode::Batched,
-        );
+        let env = Environment::new(faulty_cfg(), &zoo, &SeedSequence::new(66));
         let (want, want_trace) = run_traced(&env);
         let horizon = env.horizon();
         for k in [1, horizon / 2, horizon - 1] {
@@ -2630,12 +2656,7 @@ mod streaming_tests {
     #[test]
     fn restore_rejects_mismatched_snapshots() {
         let zoo = zoo();
-        let faulted = Environment::with_serve_mode(
-            faulty_cfg(),
-            &zoo,
-            &SeedSequence::new(67),
-            ServeMode::Batched,
-        );
+        let faulted = Environment::new(faulty_cfg(), &zoo, &SeedSequence::new(67));
         let clean = Environment::new(
             SimConfig::fast_test(TaskKind::MnistLike),
             &zoo,
@@ -2664,7 +2685,22 @@ mod streaming_tests {
     fn stepping_past_ingestion_panics() {
         let zoo = zoo();
         let cfg = SimConfig::fast_test(TaskKind::MnistLike);
-        let env = Environment::streaming(cfg, &zoo, &SeedSequence::new(68), ServeMode::Batched);
+        let env = Environment::streaming(cfg, &zoo, &SeedSequence::new(68));
+        let mut stepper = env.stepper(1);
+        stepper.step(&env, &mut Churner, None, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "holds only the last ingested slot")]
+    fn serving_a_slot_behind_ingestion_panics() {
+        // Slot 1's draws overwrote slot 0's statistics, so serving
+        // slot 0 now would read the wrong slot.
+        let zoo = zoo();
+        let cfg = SimConfig::fast_test(TaskKind::MnistLike);
+        let mut env = Environment::streaming(cfg.clone(), &zoo, &SeedSequence::new(68));
+        let row = vec![5; cfg.num_edges];
+        env.ingest_slot(0, &row);
+        env.ingest_slot(1, &row);
         let mut stepper = env.stepper(1);
         stepper.step(&env, &mut Churner, None, None);
     }

@@ -28,7 +28,7 @@ pub mod queueing;
 pub mod record;
 
 pub use config::{CostWeights, SimConfig};
-pub use env::{EdgeServeState, Environment, RunStepper, ServeMode, StepperState};
+pub use env::{EdgeServeState, Environment, RunStepper, StepperState};
 pub use policy::{EdgeSlotOutcome, Policy, SlotFeedback};
 pub use queueing::QueueingConfig;
 pub use record::{RunRecord, SlotRecord};

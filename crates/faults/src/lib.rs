@@ -16,7 +16,7 @@
 //!   from a dedicated RNG stream derived off the run seed. Because the
 //!   schedule is pre-realized in a fixed order, a given
 //!   `(seed, scenario)` pair is bit-identical across driver thread
-//!   counts and serve modes.
+//!   counts, batch-built or streamed.
 //! * [`Backoff`] — the shared bounded exponential backoff rule used by
 //!   download retries and market resubmissions. It is a pure function
 //!   of the attempt number, hence trivially deterministic.
