@@ -5,7 +5,8 @@
 //! Five paths are timed, each with the [`cne_util::span`] profiler:
 //!
 //! * **slot serving** in `edgesim::env` — a fixed-placement policy run
-//!   over the Fig. 14 runtime-vs-edges grid, wrapped in a single
+//!   over the Fig. 14 runtime-vs-edges grid (each edge's sample draw
+//!   and the served table's fold included), wrapped in a single
 //!   stopwatch span; at the largest fleet a [`ServeSession`] fed the
 //!   same arrivals must reproduce the batch run's
 //!   [`cne_edgesim::RunRecord`] bit for bit;
@@ -280,104 +281,6 @@ fn bench_slot_loop(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut Vec
             });
         }
     }
-
-    bench_lane_reduce(scale, zoo, reps, entries);
-}
-
-/// The batched sufficient-statistics kernel in isolation: the
-/// transposed `[sample][table]` lane reduction
-/// ([`Environment::reduce_slot_stats`]) against the per-table scalar
-/// reductions it replaced — which it must match bit for bit, checked
-/// here and floored by the `identical` entry.
-fn bench_lane_reduce(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut Vec<BenchEntry>) {
-    const SLOTS: usize = 512;
-    const SAMPLES: usize = 256;
-    let m = zoo.len();
-    let pool = zoo.pool().len();
-    let env = Environment::new(
-        scale.config(TaskKind::MnistLike, scale.default_edges),
-        zoo,
-        &SeedSequence::new(7).derive("env"),
-    );
-    // Deterministic drawn-index sets: scattered pool reads, the access
-    // pattern a real slot reduction sees.
-    let slots: Vec<Vec<usize>> = (0..SLOTS)
-        .map(|t| (0..SAMPLES).map(|k| (t * 31 + k * 7919) % pool).collect())
-        .collect();
-
-    let mut loss = vec![0.0; m];
-    let mut acc = vec![0.0; m];
-    let mut identical = true;
-    for indices in &slots {
-        env.reduce_slot_stats(indices, &mut loss, &mut acc);
-        for n in 0..m {
-            let table = &zoo.model(n).eval;
-            identical &= loss[n].to_bits() == table.mean_loss_at(indices).to_bits()
-                && acc[n].to_bits() == table.accuracy_at(indices).to_bits();
-        }
-    }
-
-    let mut lane_us = Vec::with_capacity(reps);
-    let mut scalar_us = Vec::with_capacity(reps);
-    let mut sink = 0.0f64;
-    for _ in 0..reps {
-        let mut stopwatch = Profiler::new();
-        stopwatch.enter("lanes");
-        for indices in &slots {
-            env.reduce_slot_stats(indices, &mut loss, &mut acc);
-            sink += loss[0] + acc[m - 1];
-        }
-        stopwatch.exit();
-        lane_us.push(stopwatch.total_us("lanes") / SLOTS as f64);
-
-        let mut stopwatch = Profiler::new();
-        stopwatch.enter("scalar");
-        for indices in &slots {
-            for n in 0..m {
-                let table = &zoo.model(n).eval;
-                loss[n] = table.mean_loss_at(indices);
-                acc[n] = table.accuracy_at(indices);
-            }
-            sink += loss[0] + acc[m - 1];
-        }
-        stopwatch.exit();
-        scalar_us.push(stopwatch.total_us("scalar") / SLOTS as f64);
-    }
-    assert!(sink.is_finite(), "reductions produce finite statistics");
-    let lanes = median(lane_us);
-    let scalar = median(scalar_us);
-    entries.push(BenchEntry {
-        name: format!("slot_loop/lane_reduce/samples={SAMPLES}"),
-        metric: "us_per_slot".to_owned(),
-        value: lanes,
-        better: "lower",
-        gate: true,
-        min: None,
-    });
-    entries.push(BenchEntry {
-        name: format!("slot_loop/lane_scalar/samples={SAMPLES}"),
-        metric: "us_per_slot".to_owned(),
-        value: scalar,
-        better: "lower",
-        gate: false,
-        min: None,
-    });
-    entries.push(BenchEntry {
-        name: format!("slot_loop/lane_reduce_speedup/samples={SAMPLES}"),
-        metric: "ratio".to_owned(),
-        value: scalar / lanes,
-        better: "higher",
-        gate: false,
-        min: Some(1.0),
-    });
-    entries.push(BenchEntry {
-        name: format!("slot_loop/lane_reduce_identical/samples={SAMPLES}"),
-        metric: "bool".to_owned(),
-        value: if identical { 1.0 } else { 0.0 },
-        better: "higher",
-        gate: false,
-        min: Some(1.0),
-    });
 }
 
 /// Times cold and warm-started Tsallis-INF normalization solves on a
@@ -648,9 +551,8 @@ fn bench_serve_loop(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut Ve
         ckpt_us.push(stopwatch.total_us("ckpt"));
 
         // A cold batch replay over the same arrivals, for the overhead
-        // ratio. Environment construction is timed too: it pre-draws
-        // every slot's sample stream, work the streaming session does
-        // lazily inside `push_slot`.
+        // ratio, construction included. Both sides draw every sample
+        // inside their stepper.
         let seed = SeedSequence::new(SEED);
         let mut stopwatch = Profiler::new();
         stopwatch.enter("batch");

@@ -4,13 +4,11 @@
 //! committed baseline:
 //!
 //! * entries with a `min` floor fail when the **current** value drops
-//!   below it (machine-independent ratios such as the batched-serving
-//!   speedup or the bit-identical-equivalence flag); the effective
-//!   floor is the *stricter* of the baseline's and the current run's —
-//!   some floors (the edge-parallel speedup) are armed by the
-//!   measuring machine itself, so a multi-core CI run self-gates even
-//!   against a baseline committed from a small machine, while a
-//!   regenerated report still cannot relax a committed floor;
+//!   below it (machine-independent ratios such as the fast-decode
+//!   ingest speedup or the bit-identical-equivalence flag); the
+//!   effective floor is the *stricter* of the baseline's and the
+//!   current run's, so a regenerated report cannot relax a committed
+//!   floor;
 //! * entries with `gate: true` fail when the current value regresses
 //!   past the baseline by more than `--tolerance` (default ±25%) in
 //!   the entry's bad direction — improvements never fail;
@@ -18,15 +16,9 @@
 //!
 //! On failure, every regressed entry is printed as a table before the
 //! non-zero exit, so CI logs show *what* regressed and by how much.
-//!
-//! Speedup-ratio entries whose floor stayed disarmed on **both** sides
-//! (neither the baseline machine nor the current one had enough cores
-//! to arm it) are reported as loud warnings — a green check that
-//! silently skipped its reason for existing is worse than a red one —
-//! together with the detected core counts. When the
-//! `GITHUB_STEP_SUMMARY` environment variable points at a writable
-//! file (as it does inside GitHub Actions), the full comparison table
-//! is additionally appended there as Markdown.
+//! When the `GITHUB_STEP_SUMMARY` environment variable points at a
+//! writable file (as it does inside GitHub Actions), the full
+//! comparison table is additionally appended there as Markdown.
 
 use cne_bench::perf::{BenchEntry, BenchReport};
 
@@ -79,9 +71,8 @@ fn check_entry(
 ) {
     // Absolute floors apply to the current run's value. The effective
     // floor is the stricter of the two reports': the baseline's cannot
-    // be relaxed by regenerating, and the current run may arm a floor
-    // the baseline machine could not (e.g. the edge-parallel speedup
-    // floor only exists on machines with enough cores).
+    // be relaxed by regenerating, and a current run may carry a floor
+    // the baseline lacks.
     let floor = match (base.min, cur.min) {
         (Some(b), Some(c)) => Some(b.max(c)),
         (floor, None) | (None, floor) => floor,
@@ -120,45 +111,6 @@ fn check_entry(
     }
 }
 
-/// The core count a report recorded (the `…/cores` entry the
-/// edge-parallel suite emits), formatted for diagnostics.
-fn report_cores(report: &BenchReport) -> String {
-    report
-        .entries
-        .iter()
-        .find(|e| e.name.ends_with("/cores"))
-        .map_or_else(|| "unknown".to_owned(), |e| format!("{:.0}", e.value))
-}
-
-/// Speedup-ratio gates that stayed disarmed on both sides: the floor
-/// only exists on machines with enough cores, so when neither the
-/// baseline machine nor the current one armed it, the ratio sails
-/// through unchecked. That must be loud — a disarmed gate looks
-/// exactly like a passing one in the exit code.
-fn disarmed_speedup_gates(baseline: &BenchReport, current: &BenchReport) -> Vec<String> {
-    let mut warnings = Vec::new();
-    for base in &baseline.entries {
-        if !base.name.contains("speedup") {
-            continue;
-        }
-        let Some(cur) = current.entries.iter().find(|e| e.name == base.name) else {
-            continue; // already reported as a regression
-        };
-        if base.min.is_none() && cur.min.is_none() {
-            warnings.push(format!(
-                "speedup gate '{}' is DISARMED — no floor on either side \
-                 (baseline machine: {} cores, current machine: {} cores); \
-                 the measured ratio {:.3} was NOT checked",
-                base.name,
-                report_cores(baseline),
-                report_cores(current),
-                cur.value,
-            ));
-        }
-    }
-    warnings
-}
-
 /// Renders the full comparison as a Markdown section for
 /// `$GITHUB_STEP_SUMMARY`.
 fn markdown_summary(
@@ -167,7 +119,6 @@ fn markdown_summary(
     baseline: &BenchReport,
     current: &BenchReport,
     regressions: &[Regression],
-    warnings: &[String],
     tolerance: f64,
 ) -> String {
     let mut md = String::new();
@@ -180,11 +131,9 @@ fn markdown_summary(
         format!("❌ {} regressed entries", regressions.len())
     };
     md.push_str(&format!(
-        "- mode: `{}`, tolerance ±{:.0}%\n- cores: baseline machine {}, current machine {}\n- verdict: {verdict}\n\n",
+        "- mode: `{}`, tolerance ±{:.0}%\n- verdict: {verdict}\n\n",
         baseline.mode,
         tolerance * 100.0,
-        report_cores(baseline),
-        report_cores(current),
     ));
     md.push_str("| entry | metric | baseline | current | Δ | status |\n");
     md.push_str("|---|---|---:|---:|---:|---|\n");
@@ -211,8 +160,6 @@ fn markdown_summary(
             };
             if let Some(min) = floor {
                 format!("✅ floor ≥ {min:.2}")
-            } else if base.name.contains("speedup") {
-                "⚠️ disarmed (core count)".to_owned()
             } else if base.gate {
                 "✅ gated".to_owned()
             } else {
@@ -223,12 +170,6 @@ fn markdown_summary(
             "| `{}` | {} | {:.3} | {} | {} | {} |\n",
             base.name, base.metric, base.value, current_cell, delta_cell, status
         ));
-    }
-    if !warnings.is_empty() {
-        md.push('\n');
-        for w in warnings {
-            md.push_str(&format!("> ⚠️ {w}\n"));
-        }
     }
     md.push('\n');
     md
@@ -286,19 +227,14 @@ pub fn bench_check(opts: &Options) -> Result<(), String> {
     let baseline = load(baseline_path)?;
     let current = load(current_path)?;
     let regressions = compare_reports(&baseline, &current, opts.tolerance)?;
-    let warnings = disarmed_speedup_gates(&baseline, &current);
     append_step_summary(&markdown_summary(
         baseline_path,
         current_path,
         &baseline,
         &current,
         &regressions,
-        &warnings,
         opts.tolerance,
     ));
-    for w in &warnings {
-        eprintln!("bench-check  : WARNING — {w}");
-    }
 
     let gated = baseline
         .entries
@@ -307,22 +243,16 @@ pub fn bench_check(opts: &Options) -> Result<(), String> {
         .count();
     if regressions.is_empty() {
         println!(
-            "bench-check  : OK — {gated} gated entries within ±{:.0}% of {baseline_path} \
-             (baseline machine: {} cores, current machine: {} cores)",
+            "bench-check  : OK — {gated} gated entries within ±{:.0}% of {baseline_path}",
             opts.tolerance * 100.0,
-            report_cores(&baseline),
-            report_cores(&current),
         );
         return Ok(());
     }
 
     println!(
-        "bench-check  : {} regressed entries (tolerance ±{:.0}%; baseline \
-         machine: {} cores, current machine: {} cores)\n",
+        "bench-check  : {} regressed entries (tolerance ±{:.0}%)\n",
         regressions.len(),
         opts.tolerance * 100.0,
-        report_cores(&baseline),
-        report_cores(&current),
     );
     println!(
         "{:<36} {:>14} {:>12} {:>12}  reason",
@@ -434,54 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn disarmed_speedup_gates_warn_loudly() {
-        let cores = |n: f64| entry("edge_parallel/cores", n, "higher", false, None);
-        // Both sides floorless: disarmed, and the warning names both
-        // machines' core counts.
-        let base = report(vec![
-            entry(
-                "edge_parallel/speedup/edges=500",
-                0.4,
-                "higher",
-                false,
-                None,
-            ),
-            cores(1.0),
-        ]);
-        let cur = report(vec![
-            entry(
-                "edge_parallel/speedup/edges=500",
-                0.9,
-                "higher",
-                false,
-                None,
-            ),
-            cores(2.0),
-        ]);
-        let warnings = disarmed_speedup_gates(&base, &cur);
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("DISARMED"));
-        assert!(warnings[0].contains("baseline machine: 1 cores"));
-        assert!(warnings[0].contains("current machine: 2 cores"));
-        // A floor on either side arms the gate — no warning.
-        let armed = report(vec![
-            entry(
-                "edge_parallel/speedup/edges=500",
-                2.0,
-                "higher",
-                false,
-                Some(1.8),
-            ),
-            cores(4.0),
-        ]);
-        assert!(disarmed_speedup_gates(&base, &armed).is_empty());
-        assert!(disarmed_speedup_gates(&armed, &cur).is_empty());
-        // Non-speedup entries never warn.
-        let info = report(vec![entry("e2e/ours/edges=10", 9.0, "lower", true, None)]);
-        assert!(disarmed_speedup_gates(&info, &info).is_empty());
-    }
-
-    #[test]
     fn markdown_summary_covers_every_entry() {
         let base = report(vec![
             entry(
@@ -492,6 +374,7 @@ mod tests {
                 None,
             ),
             entry("edge_parallel/speedup/edges=50", 0.4, "higher", false, None),
+            entry("tsallis/warm_speedup", 1.6, "higher", false, None),
             entry("gone", 1.0, "lower", true, None),
         ]);
         let cur = report(vec![
@@ -509,22 +392,23 @@ mod tests {
                 false,
                 Some(1.0),
             ),
+            entry("tsallis/warm_speedup", 1.2, "higher", false, None),
         ]);
         let regressions = compare_reports(&base, &cur, 0.25).unwrap();
-        let warnings = disarmed_speedup_gates(&base, &cur);
         let md = markdown_summary(
             "results/b.json",
             "/tmp/c.json",
             &base,
             &cur,
             &regressions,
-            &warnings,
             0.25,
         );
         assert!(md.contains("| `edge_parallel/ours/edges=50/threads=1` |"));
         assert!(md.contains("-25.0%"), "delta column renders: {md}");
         assert!(md.contains("floor ≥ 1.00"), "current-armed floor shows");
         assert!(md.contains("missing from current run"));
+        // A floorless ratio is informational, not a disarmed gate.
+        assert!(md.contains("| `tsallis/warm_speedup` | us | 1.600 | 1.200 | -25.0% | info |"));
         assert!(md.contains("❌ 1 regressed entries"));
     }
 

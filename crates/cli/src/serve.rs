@@ -203,12 +203,8 @@ fn oversize_reason(max_line: usize, len: usize) -> String {
 }
 
 /// Classifies one raw wire line (without its newline): a decoded
-/// message, `Ok(None)` for a blank line, or the `bad_line` reason.
-///
-/// The zero-alloc fast path goes first: a hit is certain to match the
-/// strict path and is pure ASCII, so the UTF-8/trim/parse pipeline is
-/// skipped outright. Everything else gets the strict path's canonical
-/// outcome.
+/// message, `Ok(None)` for a blank line, or the `bad_line` reason
+/// (see [`wire::decode`]).
 fn decode_line(line: &[u8], num_edges: usize, max_line: usize) -> Result<Option<WireMsg>, String> {
     // The reader's memory bound only catches lines that span read
     // chunks; one that arrived whole inside a block is rejected here,
@@ -216,16 +212,7 @@ fn decode_line(line: &[u8], num_edges: usize, max_line: usize) -> Result<Option<
     if line.len() > max_line {
         return Err(oversize_reason(max_line, line.len()));
     }
-    if let Some(msg) = wire::decode_fast(line, num_edges) {
-        return Ok(Some(msg));
-    }
-    let text =
-        std::str::from_utf8(line).map_err(|_| format!("non-UTF-8 line ({} bytes)", line.len()))?;
-    let trimmed = text.trim();
-    if trimmed.is_empty() {
-        return Ok(None);
-    }
-    wire::decode_strict(trimmed, num_edges).map(Some)
+    wire::decode(line, num_edges)
 }
 
 /// One structured retry event for stderr: `event` names the retried
@@ -701,8 +688,9 @@ impl DaemonOps {
             let step_total = profiler.total_us("slot");
             let step = (step_total - self.prev_us[4]).max(0.0);
             self.prev_us[4] = step_total;
-            // What the daemon spent around the stepper: arrival
-            // ingestion, live monitoring, bookkeeping.
+            // What the daemon spent outside the stepper: recording the
+            // slot's arrivals, live monitoring, bookkeeping. (Each
+            // edge's sample draw is inside the `serve` stage.)
             self.rec
                 .histogram_with_bounds("serve.latency.ingest_us", &LATENCY_BOUNDS_US)
                 .record((slot_wall_us - step).max(0.0));

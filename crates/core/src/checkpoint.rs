@@ -2,8 +2,8 @@
 //!
 //! A checkpoint captures everything a `carbon-edge serve` process needs
 //! to resume a run bit-identically after a restart: the raw arrival
-//! counts ingested so far (replayed on resume to rebuild the stream
-//! RNGs and workload statistics), the simulator's mutable run state
+//! counts ingested so far (replayed on resume to rebuild the workload
+//! traces and each edge's stream RNG), the simulator's mutable run state
 //! ([`StepperState`]), the controller's learned state (selector fleet
 //! and trading policy, via
 //! [`ComboController::export_state`](crate::ComboController::export_state)),

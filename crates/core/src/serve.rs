@@ -12,10 +12,11 @@
 //!
 //! Between any two slots the session can snapshot itself into a
 //! versioned [`Checkpoint`] and later [`resume`](ServeSession::resume)
-//! from it bit-identically: the stored raw arrivals are re-ingested
-//! (replaying the per-edge stream RNGs), the simulator's mutable state
-//! is restored onto a fresh stepper, and the controller's learned
-//! state is imported onto a freshly built policy.
+//! from it bit-identically: the stored raw arrivals are re-ingested,
+//! the simulator's mutable state is restored onto a fresh stepper
+//! (which replays each edge's stream RNG through those arrivals), and
+//! the controller's learned state is imported onto a freshly built
+//! policy.
 
 use cne_edgesim::{Environment, RunRecord, RunStepper, SimConfig};
 use cne_nn::ModelZoo;
@@ -195,11 +196,10 @@ impl<'a> ServeSession<'a> {
         }
 
         let mut session = Self::new(config, zoo, checkpoint.seed, combo, options);
-        // Re-ingest the stored raw arrivals: this replays the per-edge
-        // stream RNGs and rebuilds the workload traces exactly as the
-        // original process saw them. (Only the last ingested slot's
-        // statistics are kept, and no resumed slot reads them: the
-        // next `push_slot` ingests and serves a fresh slot.)
+        // Re-ingest the stored raw arrivals: this rebuilds the workload
+        // traces exactly as the original process saw them, and the
+        // stepper restore below replays the per-edge stream RNGs
+        // through them.
         for (t, raw) in checkpoint.arrivals.iter().enumerate() {
             session.env.ingest_slot(t, raw);
         }

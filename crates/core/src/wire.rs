@@ -22,12 +22,14 @@
 //!   key names, numeric overflow, out-of-range edges, any syntax
 //!   error — returns `None` and is retried through the strict path.
 //!
-//! [`decode`] composes the two, so a caller gets strict-path
-//! semantics (including the exact error strings) at fast-path speed
-//! for the overwhelmingly common canonical lines. The equivalence is
-//! enforced by a property suite below: on arbitrary generated and
-//! adversarial inputs, the composed decoder and the strict decoder
-//! agree on accept/reject, decoded values, and error text.
+//! [`decode`] composes the two on a raw line, as the daemon reads it:
+//! fast path first, then UTF-8 validation, trimming, the blank-line
+//! skip, and the strict path. A caller gets strict-path semantics
+//! (including the exact error strings) at fast-path speed for the
+//! overwhelmingly common canonical lines. The equivalence is enforced
+//! by a property suite below: on arbitrary generated and adversarial
+//! inputs, the composed decoder and the strict path on the trimmed
+//! line agree on accept/reject, decoded values, and error text.
 //!
 //! The fast path's conservatism is load-bearing. Its whitespace set
 //! (space, tab, CR) is a strict subset of both the JSON parser's
@@ -92,16 +94,6 @@ pub fn decode_strict(line: &str, num_edges: usize) -> Result<WireMsg, String> {
         None => 1,
     };
     Ok(WireMsg::Request { edge, count })
-}
-
-/// True when the line is empty or pure ASCII spacing — the byte-level
-/// equivalent of the daemon's "`trim()` left nothing, skip it" rule
-/// for lines the fast path can judge. Lines containing any other byte
-/// (including Unicode whitespace) must take the slow path, whose
-/// `str::trim` makes the call.
-#[must_use]
-pub fn is_ascii_blank(line: &[u8]) -> bool {
-    line.iter().all(|b| matches!(b, b' ' | b'\t' | b'\r'))
 }
 
 /// Byte cursor for [`decode_fast`]. Every helper returns `None` on
@@ -228,22 +220,45 @@ pub fn decode_fast(line: &[u8], num_edges: usize) -> Option<WireMsg> {
     Some(WireMsg::Request { edge, count })
 }
 
-/// Full-speed decode with strict-path semantics: try [`decode_fast`],
-/// fall back to [`decode_strict`] on anything unusual.
+/// Classifies one raw wire line (without its newline): a decoded
+/// message, or `Ok(None)` for a blank line.
+///
+/// The zero-alloc fast path goes first: a hit is certain to match the
+/// strict path and is pure ASCII, so the UTF-8/trim/parse pipeline is
+/// skipped outright. Everything else gets the strict path's canonical
+/// outcome on the trimmed line.
 ///
 /// # Errors
-/// Exactly the strict path's `bad request line: …` messages.
-pub fn decode(line: &str, num_edges: usize) -> Result<WireMsg, String> {
-    match decode_fast(line.as_bytes(), num_edges) {
-        Some(msg) => Ok(msg),
-        None => decode_strict(line, num_edges),
+/// `non-UTF-8 line (…)`, or exactly the strict path's
+/// `bad request line: …` messages.
+#[inline] // the daemon's read loop reaches the fast path in one call
+pub fn decode(line: &[u8], num_edges: usize) -> Result<Option<WireMsg>, String> {
+    if let Some(msg) = decode_fast(line, num_edges) {
+        return Ok(Some(msg));
     }
+    let text =
+        std::str::from_utf8(line).map_err(|_| format!("non-UTF-8 line ({} bytes)", line.len()))?;
+    let trimmed = text.trim();
+    if trimmed.is_empty() {
+        return Ok(None);
+    }
+    decode_strict(trimmed, num_edges).map(Some)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The slow chain alone: the strict path on the trimmed line,
+    /// blank lines skipped.
+    fn reference(line: &str, num_edges: usize) -> Result<Option<WireMsg>, String> {
+        let trimmed = line.trim();
+        if trimmed.is_empty() {
+            return Ok(None);
+        }
+        decode_strict(trimmed, num_edges).map(Some)
+    }
 
     /// The property both suites below enforce: wherever the fast path
     /// speaks, it must agree with the strict path bit-for-bit.
@@ -256,7 +271,10 @@ mod tests {
             );
         }
         // The composed decoder is therefore always strict-equivalent.
-        assert_eq!(decode(line, num_edges), decode_strict(line, num_edges));
+        assert_eq!(
+            decode(line.as_bytes(), num_edges),
+            reference(line, num_edges)
+        );
     }
 
     #[test]
@@ -329,14 +347,16 @@ mod tests {
     }
 
     #[test]
-    fn ascii_blank_is_conservative() {
-        assert!(is_ascii_blank(b""));
-        assert!(is_ascii_blank(b" \t\r"));
-        assert!(!is_ascii_blank(b" x "));
-        // Unicode whitespace is NOT blank to the fast path even
-        // though `str::trim` would drop it — the slow path decides.
-        assert!(!is_ascii_blank("\u{a0}".as_bytes()));
-        assert!(!is_ascii_blank(b"\x0c"));
+    fn blank_and_non_utf8_lines() {
+        // Anything `str::trim` empties is skipped, Unicode whitespace
+        // included, although the fast path never judges it.
+        for line in ["", " \t\r", "\u{a0}", "\x0c", " \u{2003}\n"] {
+            assert_eq!(decode(line.as_bytes(), 8), Ok(None), "line {line:?}");
+        }
+        assert_eq!(
+            decode(b"{\"edge\":1}\xff", 8),
+            Err("non-UTF-8 line (11 bytes)".to_owned())
+        );
     }
 
     /// Splitmix64 — tiny deterministic generator for the adversarial
@@ -406,6 +426,7 @@ mod tests {
                         // Anything the fast path accepts is pure
                         // ASCII; a non-UTF-8 mutant can never pass.
                         assert_eq!(decode_fast(&mutant, 8), None);
+                        assert!(decode(&mutant, 8).unwrap_err().starts_with("non-UTF-8"));
                     }
                 }
             }
@@ -452,7 +473,7 @@ mod tests {
                 prop_assert_eq!(fast, None);
                 prop_assert!(strict.is_err());
             }
-            prop_assert_eq!(decode(&line, num_edges), decode_strict(&line, num_edges));
+            prop_assert_eq!(decode(line.as_bytes(), num_edges), reference(&line, num_edges));
         }
 
         /// Arbitrary printable-ish strings: the fast path never
@@ -468,7 +489,7 @@ mod tests {
             if let Some(fast) = decode_fast(line.as_bytes(), num_edges) {
                 prop_assert_eq!(decode_strict(&line, num_edges), Ok(fast));
             }
-            prop_assert_eq!(decode(&line, num_edges), decode_strict(&line, num_edges));
+            prop_assert_eq!(decode(line.as_bytes(), num_edges), reference(&line, num_edges));
         }
 
         /// JSON-shaped fragments with wire keys spliced in: stress the
@@ -488,7 +509,7 @@ mod tests {
             if let Some(fast) = decode_fast(line.as_bytes(), num_edges) {
                 prop_assert_eq!(decode_strict(&line, num_edges), Ok(fast));
             }
-            prop_assert_eq!(decode(&line, num_edges), decode_strict(&line, num_edges));
+            prop_assert_eq!(decode(line.as_bytes(), num_edges), reference(&line, num_edges));
         }
     }
 }

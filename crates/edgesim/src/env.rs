@@ -21,146 +21,16 @@ use crate::lanes::{replay_tele, EdgeLanes, EdgePartial, PendingDownload, TeleOp,
 use crate::policy::{EdgeSlotOutcome, Policy, SlotFeedback};
 use crate::record::{RunRecord, SlotRecord};
 
-/// Transposed per-sample evaluation lanes for the slot reduction.
-///
-/// [`EvalTable`](cne_nn::zoo::EvalTable) stores one loss/correctness
-/// vector *per model*, so
-/// reducing a slot's drawn indices one table at a time gathers from
-/// `num_models` distant arrays and walks each sum as a single
-/// dependent f64 fold — the additions serialize on the accumulator.
-/// `StatLanes` transposes the same values into row-major
-/// `[pool_sample][table]` order: reducing a slot then streams one
-/// contiguous `num_models`-wide row per drawn sample into
-/// `num_models` *independent* accumulator lanes, which the compiler
-/// autovectorizes (adjacent lanes, no float reassociation needed).
-///
-/// Bit-identity with the scalar path is structural, not accidental:
-/// each table's lane receives exactly the additions
-/// `0.0 + l[idx0] + l[idx1] + …` in drawn-index order — the same fold
-/// [`mean_loss_at`](cne_nn::zoo::EvalTable::mean_loss_at) computes —
-/// and the correctness lane
-/// accumulates exact small integers (as f64), so the final
-/// `sum / len` divisions see operand-for-operand identical inputs.
-/// The equivalence is pinned by tests against the scalar reductions.
-#[derive(Debug)]
-struct StatLanes {
-    /// Row-major `[pool_sample][table]` Brier losses, rows zero-padded
-    /// to [`LANE_PAD`]-multiple width.
-    losses: Vec<f64>,
-    /// Row-major `[pool_sample][table]` correctness (0.0/1.0),
-    /// pre-converted so the hot loop adds without converting; same
-    /// padding.
-    correct: Vec<f64>,
-    /// Logical row width: number of eval tables (= models in the zoo).
-    width: usize,
-    /// Stored row width: `width` rounded up to a [`LANE_PAD`] multiple
-    /// so the accumulation loops run a tail-free, vector-width trip
-    /// count.
-    padded: usize,
-}
-
-/// Lane padding granule: rows are stored at the next multiple of this
-/// width, so the fixed-trip accumulation loop divides evenly into
-/// 2-/4-/8-wide f64 vectors and never runs a scalar tail.
-const LANE_PAD: usize = 8;
-
-/// Widest padded row served by the stack-allocated accumulators; a
-/// zoo wider than this (none ship) falls back to heap accumulators.
-const LANE_MAX: usize = 64;
-
-impl StatLanes {
-    /// Transposes the zoo's eval tables into padded sample-major rows.
-    fn build(zoo: &ModelZoo) -> Self {
-        let width = zoo.len();
-        let padded = width.div_ceil(LANE_PAD) * LANE_PAD;
-        let rows = zoo.pool().len();
-        let mut losses = vec![0.0; rows * padded];
-        let mut correct = vec![0.0; rows * padded];
-        for s in 0..rows {
-            for n in 0..width {
-                let table = &zoo.model(n).eval;
-                losses[s * padded + n] = table.loss(s);
-                correct[s * padded + n] = f64::from(u8::from(table.is_correct(s)));
-            }
-        }
-        Self {
-            losses,
-            correct,
-            width,
-            padded,
-        }
-    }
-
-    /// Reduces one slot's drawn pool `indices` into per-table mean
-    /// loss and accuracy, bit-identical to calling
-    /// [`mean_loss_at`](cne_nn::zoo::EvalTable::mean_loss_at) /
-    /// [`accuracy_at`](cne_nn::zoo::EvalTable::accuracy_at) per
-    /// table (including the empty-slot sentinels: loss `0.0`,
-    /// accuracy `1.0`).
-    fn reduce(&self, indices: &[usize], loss_out: &mut [f64], acc_out: &mut [f64]) {
-        let w = self.width;
-        assert_eq!(loss_out.len(), w, "one loss lane per table");
-        assert_eq!(acc_out.len(), w, "one accuracy lane per table");
-        if indices.is_empty() {
-            loss_out.fill(0.0);
-            acc_out.fill(1.0);
-            return;
-        }
-        if self.padded <= LANE_MAX {
-            let mut loss_acc = [0.0f64; LANE_MAX];
-            let mut hit_acc = [0.0f64; LANE_MAX];
-            self.accumulate(indices, &mut loss_acc, &mut hit_acc);
-            Self::divide(&loss_acc, &hit_acc, indices.len(), loss_out, acc_out);
-        } else {
-            let mut loss_acc = vec![0.0f64; self.padded];
-            let mut hit_acc = vec![0.0f64; self.padded];
-            self.accumulate(indices, &mut loss_acc, &mut hit_acc);
-            Self::divide(&loss_acc, &hit_acc, indices.len(), loss_out, acc_out);
-        }
-    }
-
-    /// The hot loop: one padded row of losses and correctness per
-    /// drawn index, added lane-wise into the accumulators. Each lane
-    /// receives `0.0 + v[idx0] + v[idx1] + …` in drawn-index order —
-    /// the scalar folds, interleaved across independent lanes, which
-    /// is what lets the compiler vectorize without reassociating any
-    /// float.
-    #[inline]
-    fn accumulate(&self, indices: &[usize], loss_acc: &mut [f64], hit_acc: &mut [f64]) {
-        let wp = self.padded;
-        for &s in indices {
-            let base = s * wp;
-            let row = &self.losses[base..base + wp];
-            for (acc, &l) in loss_acc[..wp].iter_mut().zip(row) {
-                *acc += l;
-            }
-            let row = &self.correct[base..base + wp];
-            for (acc, &c) in hit_acc[..wp].iter_mut().zip(row) {
-                *acc += c;
-            }
-        }
-    }
-
-    /// Final reduction: the same `sum / len` divisions the scalar
-    /// paths compute — the loss lane holds the identical fold, the
-    /// hit lane an exact integer count (sums of 1.0 are exact).
-    fn divide(loss_acc: &[f64], hit_acc: &[f64], len: usize, out_l: &mut [f64], out_a: &mut [f64]) {
-        let len = len as f64;
-        for n in 0..out_l.len() {
-            out_l[n] = loss_acc[n] / len;
-            out_a[n] = hit_acc[n] / len;
-        }
-    }
-}
-
 /// A fully realized simulation instance.
 ///
 /// Everything that does not depend on policy decisions — topology,
-/// per-edge workload traces, the price series, and the stream samples
-/// of every slot — is drawn once at construction, so multiple policies
-/// run on *identical* inputs (the paper compares algorithms on the same
-/// traces). A streaming environment ([`Environment::streaming`]) draws
-/// the arrival-dependent part one slot at a time instead.
+/// per-edge workload traces and the price series — is drawn once at
+/// construction, so multiple policies run on *identical* inputs (the
+/// paper compares algorithms on the same traces). A streaming
+/// environment ([`Environment::streaming`]) receives the arrival
+/// counts one slot at a time instead. Each edge's request sample is
+/// drawn where it is served, by the [`RunStepper`], from a stream
+/// seeded here, so every run of one environment sees identical draws.
 #[derive(Debug)]
 pub struct Environment<'a> {
     config: SimConfig,
@@ -171,19 +41,9 @@ pub struct Environment<'a> {
     /// `v_{i,n}` in ms: model base latency × edge compute factor,
     /// clamped to the paper's `[25, 150]` ms band.
     latencies: Vec<Vec<f64>>,
-    /// Cached `mean_loss_at` per `(edge, slot, table)`. A batch
-    /// environment holds every slot, flattened as
-    /// `(i * horizon + t) * num_models + table`, because
-    /// [`Environment::run`] replays it under many policies. A streaming
-    /// environment holds only the last ingested slot, flattened as
-    /// `i * num_models + table`: [`Environment::ingest_slot`]
-    /// overwrites it, and only that slot's serve stage reads it.
-    slot_loss: Vec<f64>,
-    /// Cached `accuracy_at`, same layout as `slot_loss`.
-    slot_acc: Vec<f64>,
-    /// Transposed `[pool_sample][table]` evaluation lanes feeding the
-    /// slot reductions.
-    lanes: StatLanes,
+    /// Root of the per-edge sample streams: edge `i` draws from
+    /// `stream_seed.derive_index(i)` in every stepper.
+    stream_seed: SeedSequence,
     /// `expected_loss()` per eval table, cached at construction — the
     /// run loop charges it once per edge-slot, and recomputing the
     /// pool mean there would dominate serving.
@@ -194,16 +54,22 @@ pub struct Environment<'a> {
     drift_perm: Option<Vec<usize>>,
     /// Realized fault schedule when [`SimConfig::faults`] is set.
     faults: Option<FaultSchedule>,
-    /// Per-edge sample streams, retained only by streaming
-    /// environments (batch construction consumes them up front).
-    streams: Vec<DataStream>,
     /// Slots whose arrivals have been ingested so far. Batch
     /// environments are fully ingested at construction.
     ingested: usize,
-    /// True when this environment was built by
-    /// [`Environment::streaming`] and is fed through
-    /// [`Environment::ingest_slot`].
-    streaming: bool,
+}
+
+/// The realized arrival count of edge `i` at slot `t`: a surge
+/// multiplies the raw count, then an outage zeroes it.
+fn shape_arrivals(schedule: &FaultSchedule, i: usize, t: usize, raw: u64) -> u64 {
+    let mut count = raw;
+    if schedule.surge(i, t) {
+        count = (count as f64 * schedule.scenario().surge_multiplier).round() as u64;
+    }
+    if schedule.edge_outage(i, t) {
+        count = 0;
+    }
+    count
 }
 
 /// What [`resolve_download`] decided for one edge-slot.
@@ -344,7 +210,7 @@ impl<'a> Environment<'a> {
         let workloads: Vec<WorkloadTrace> = (0..config.num_edges)
             .map(|i| workload_gen.trace(i, &seed.derive("workload")))
             .collect();
-        Self::build(config, zoo, seed, workloads, false)
+        Self::build(config, zoo, seed, workloads)
     }
 
     /// As [`Environment::new`], but replaying an explicit
@@ -382,26 +248,20 @@ impl<'a> Environment<'a> {
                 WorkloadTrace::from_counts(row.clone())
             })
             .collect();
-        Self::build(config, zoo, seed, workloads, false)
+        Self::build(config, zoo, seed, workloads)
     }
 
     /// Realizes a *streaming* environment: everything that does not
     /// depend on arrivals (topology, fault schedule, prices,
-    /// latencies, per-edge stream RNGs) is drawn up front from the
-    /// same seed subtrees as batch construction, while the per-slot
-    /// arrival counts are supplied later, one slot at a time, through
+    /// latencies, the stream seed) is drawn up front from the same
+    /// seed subtrees as batch construction, while the per-slot arrival
+    /// counts are supplied later, one slot at a time, through
     /// [`Environment::ingest_slot`].
     ///
-    /// Ingesting slot t and then stepping slot t, for every t in
-    /// order, reproduces a run of
-    /// [`Environment::with_arrival_trace`] on the same raw counts
-    /// bit-identically: per-edge stream RNGs are independent, so
-    /// drawing slot-by-slot (streaming) instead of edge-by-edge
-    /// (batch) consumes each edge's RNG in the same order.
-    ///
-    /// The slot statistics are held for one slot only (edges × models
-    /// cells, whatever the horizon), so each slot must be served right
-    /// after it is ingested (see [`RunStepper::step`]).
+    /// Stepping slot t once it is ingested, for every t in order,
+    /// reproduces a run of [`Environment::with_arrival_trace`] on the
+    /// same raw counts bit-identically: the stepper draws each edge's
+    /// sample as it serves it, whenever the counts arrived.
     ///
     /// # Panics
     /// Panics if the configuration is invalid (see
@@ -412,20 +272,18 @@ impl<'a> Environment<'a> {
         let workloads: Vec<WorkloadTrace> = (0..config.num_edges)
             .map(|_| WorkloadTrace::from_counts(vec![0; config.horizon]))
             .collect();
-        Self::build(config, zoo, seed, workloads, true)
+        let mut env = Self::build(config, zoo, seed, workloads);
+        env.ingested = 0;
+        env
     }
 
     /// Shared constructor body: realizes everything around the given
-    /// raw (pre-fault) workload traces. When `streaming` is set the
-    /// stream draws and slot statistics are deferred to
-    /// [`Environment::ingest_slot`]; otherwise every slot is drawn and
-    /// reduced here.
+    /// raw (pre-fault) workload traces, fully ingested.
     fn build(
         config: SimConfig,
         zoo: &'a ModelZoo,
         seed: &SeedSequence,
         mut workloads: Vec<WorkloadTrace>,
-        streaming: bool,
     ) -> Self {
         config.validate().expect("invalid simulator configuration");
         assert_eq!(
@@ -437,9 +295,8 @@ impl<'a> Environment<'a> {
         // Realize the fault schedule from its own dedicated seed stream
         // (attaching a scenario never perturbs any other realization),
         // then apply the workload-shaping faults — outages zero a
-        // slot's arrivals, surges multiply them — to the traces
-        // *before* the stream indices are drawn below, exactly as
-        // `ingest_slot` shapes a streamed slot.
+        // slot's arrivals, surges multiply them — to the traces,
+        // exactly as `ingest_slot` shapes a streamed slot.
         let faults = config.faults.as_ref().map(|scenario| {
             FaultSchedule::realize(
                 scenario.clone(),
@@ -449,18 +306,10 @@ impl<'a> Environment<'a> {
             )
         });
         if let Some(schedule) = &faults {
-            let scenario = schedule.scenario();
             for (i, trace) in workloads.iter_mut().enumerate() {
-                let mut counts = trace.counts().to_vec();
-                for (t, count) in counts.iter_mut().enumerate().take(config.horizon) {
-                    if schedule.surge(i, t) {
-                        *count = (*count as f64 * scenario.surge_multiplier).round() as u64;
-                    }
-                    if schedule.edge_outage(i, t) {
-                        *count = 0;
-                    }
+                for t in 0..config.horizon {
+                    trace.set(t, shape_arrivals(schedule, i, t, trace.arrivals(t)));
                 }
-                *trace = WorkloadTrace::from_counts(counts);
             }
         }
         let prices =
@@ -478,44 +327,6 @@ impl<'a> Environment<'a> {
                     .collect()
             })
             .collect();
-        let mut streams: Vec<DataStream> = (0..config.num_edges)
-            .map(|i| {
-                DataStream::new(
-                    zoo.pool().len(),
-                    seed.derive("stream").derive_index(i as u64),
-                )
-            })
-            .collect();
-        let num_models = zoo.len();
-        let lanes = StatLanes::build(zoo);
-        let (slot_loss, slot_acc) = if streaming {
-            // Streaming: keep the stream RNGs; `ingest_slot` draws and
-            // reduces one slot at a time into these edge × model cells.
-            let cells = config.num_edges * num_models;
-            (vec![0.0; cells], vec![0.0; cells])
-        } else {
-            // Batch: draw every slot of every edge in slot order and
-            // reduce each draw into its cells at once, so no drawn
-            // indices outlive their slot.
-            let cells = config.num_edges * config.horizon * num_models;
-            let mut loss = vec![0.0; cells];
-            let mut acc = vec![0.0; cells];
-            let mut cell = 0;
-            for (stream, workload) in streams.iter_mut().zip(&workloads) {
-                for t in 0..config.horizon {
-                    let indices =
-                        stream.draw_slot_capped(workload.arrivals(t), config.loss_sample_cap);
-                    lanes.reduce(
-                        &indices,
-                        &mut loss[cell..cell + num_models],
-                        &mut acc[cell..cell + num_models],
-                    );
-                    cell += num_models;
-                }
-            }
-            streams = Vec::new();
-            (loss, acc)
-        };
         let expected_losses: Vec<f64> = zoo
             .models()
             .iter()
@@ -540,7 +351,7 @@ impl<'a> Environment<'a> {
             }
             perm
         });
-        let ingested = if streaming { 0 } else { config.horizon };
+        let ingested = config.horizon;
         Self {
             config,
             zoo,
@@ -548,24 +359,13 @@ impl<'a> Environment<'a> {
             workloads,
             prices,
             latencies,
-            slot_loss,
-            slot_acc,
-            lanes,
+            stream_seed: seed.derive("stream"),
             expected_losses,
             market,
             drift_perm,
             faults,
-            streams,
             ingested,
-            streaming,
         }
-    }
-
-    /// True when this environment is fed incrementally through
-    /// [`Environment::ingest_slot`].
-    #[must_use]
-    pub fn is_streaming(&self) -> bool {
-        self.streaming
     }
 
     /// Number of slots whose arrivals are already ingested (always the
@@ -577,23 +377,14 @@ impl<'a> Environment<'a> {
 
     /// Feeds one slot of raw (pre-fault) per-edge arrival counts into a
     /// streaming environment: the attached fault schedule shapes the
-    /// counts (surges multiply, outages zero), the workload trace is
-    /// extended, and each edge's stream draws the slot's sample
-    /// indices — consuming the per-edge RNGs in exactly the order
-    /// batch construction does — and reduces them into the slot
-    /// statistics, overwriting the previous slot's.
-    ///
-    /// Slots must be ingested in order, starting at 0, and each one
-    /// served before the next is ingested.
+    /// counts (surges multiply, outages zero) and the workload trace
+    /// records them. Slots must be ingested in order, starting at 0.
     ///
     /// # Panics
-    /// Panics on a batch environment, on an out-of-order or
-    /// past-horizon slot, or when `raw` is not one count per edge.
+    /// Panics on a batch environment (already fully ingested), on an
+    /// out-of-order or past-horizon slot, or when `raw` is not one
+    /// count per edge.
     pub fn ingest_slot(&mut self, t: usize, raw: &[u64]) {
-        assert!(
-            self.streaming,
-            "ingest_slot is only valid on a streaming environment"
-        );
         assert_eq!(t, self.ingested, "slots must be ingested in order");
         assert!(t < self.config.horizon, "slot {t} is past the horizon");
         assert_eq!(
@@ -601,59 +392,20 @@ impl<'a> Environment<'a> {
             self.config.num_edges,
             "ingest needs one count per edge"
         );
-        let num_models = self.zoo.len();
-        for (i, &raw_count) in raw.iter().enumerate() {
-            let mut count = raw_count;
-            if let Some(schedule) = &self.faults {
-                if schedule.surge(i, t) {
-                    count = (count as f64 * schedule.scenario().surge_multiplier).round() as u64;
-                }
-                if schedule.edge_outage(i, t) {
-                    count = 0;
-                }
-            }
+        for (i, &count) in raw.iter().enumerate() {
+            let count = match &self.faults {
+                Some(schedule) => shape_arrivals(schedule, i, t, count),
+                None => count,
+            };
             self.workloads[i].set(t, count);
-            let indices = self.streams[i].draw_slot_capped(count, self.config.loss_sample_cap);
-            let base = i * num_models;
-            self.lanes.reduce(
-                &indices,
-                &mut self.slot_loss[base..base + num_models],
-                &mut self.slot_acc[base..base + num_models],
-            );
         }
         self.ingested += 1;
-    }
-
-    /// Runs the slot reduction for one slot's drawn pool `indices`:
-    /// per-table mean loss into `loss_out` and accuracy into `acc_out`
-    /// (one lane per eval table), bit-identical to the scalar
-    /// per-table
-    /// [`mean_loss_at`](cne_nn::zoo::EvalTable::mean_loss_at) /
-    /// [`accuracy_at`](cne_nn::zoo::EvalTable::accuracy_at) calls.
-    /// Exposed so the benchmark suite can time the hot reduction
-    /// kernel in isolation.
-    ///
-    /// # Panics
-    /// Panics when the output slices are not one lane per table.
-    pub fn reduce_slot_stats(&self, indices: &[usize], loss_out: &mut [f64], acc_out: &mut [f64]) {
-        self.lanes.reduce(indices, loss_out, acc_out);
     }
 
     /// The realized fault schedule, when [`SimConfig::faults`] is set.
     #[must_use]
     pub fn fault_schedule(&self) -> Option<&FaultSchedule> {
         self.faults.as_ref()
-    }
-
-    /// Flat index into the slot statistic caches (see `slot_loss`).
-    #[inline]
-    fn stat_index(&self, i: usize, t: usize, table: usize) -> usize {
-        let row = if self.streaming {
-            i
-        } else {
-            i * self.config.horizon + t
-        };
-        row * self.zoo.len() + table
     }
 
     /// The eval-table index model `n` maps to at slot `t` (identity
@@ -906,24 +658,16 @@ impl<'a> Environment<'a> {
     /// it as arrivals come in.
     ///
     /// `edge_threads > 1` splits the edges into that many contiguous
-    /// lanes (clamped to the edge count) and serves them on a per-slot
-    /// scoped worker pool, with buffered telemetry replayed in
-    /// edge-index order, so the output is bit-identical at any lane
-    /// count. Selection, trading and feedback stay on the calling
-    /// thread.
+    /// lanes (clamped to the edge count) and serves them — sample draws
+    /// included — on a per-slot scoped worker pool, with buffered
+    /// telemetry replayed in edge-index order, so the output is
+    /// bit-identical at any lane count. Selection, trading and
+    /// feedback stay on the calling thread.
     #[must_use]
     pub fn stepper(&self, edge_threads: usize) -> RunStepper {
         let cfg = &self.config;
         let num_lanes = edge_threads.max(1).min(cfg.num_edges.max(1));
-        // One lane covering the whole fleet when sequential: the
-        // single-lane step runs the same serve code as the sharded
-        // step, over the same structure-of-arrays state, so the two
-        // paths agree by construction.
-        let lanes = if num_lanes <= 1 {
-            vec![EdgeLanes::new(0, cfg.num_edges, self.zoo.len())]
-        } else {
-            EdgeLanes::split(cfg.num_edges, self.zoo.len(), num_lanes)
-        };
+        let lanes = self.edge_lanes(num_lanes);
         let lane_count = lanes.len();
         RunStepper {
             lanes,
@@ -942,6 +686,23 @@ impl<'a> Environment<'a> {
                 .map(|s| TradeCarry::new(s.scenario().backoff())),
             next_slot: 0,
         }
+    }
+
+    /// Fresh serve lanes over the fleet, each edge's sample stream at
+    /// its start. One lane covers the whole fleet when sequential: the
+    /// single-lane step runs the same serve code as the sharded step,
+    /// over the same structure-of-arrays state, so the two paths agree
+    /// by construction.
+    fn edge_lanes(&self, num_lanes: usize) -> Vec<EdgeLanes> {
+        let streams = (0..self.config.num_edges)
+            .map(|i| {
+                DataStream::new(
+                    self.zoo.pool().len(),
+                    self.stream_seed.derive_index(i as u64),
+                )
+            })
+            .collect();
+        EdgeLanes::split(streams, self.zoo.len(), num_lanes)
     }
 
     /// The trade context the policy decides against at slot `t`.
@@ -1039,10 +800,11 @@ impl<'a> Environment<'a> {
     }
 
     /// Serves one edge for one slot: download resolution, switch
-    /// accounting, stream statistics, queueing, and emissions. Ledger
-    /// posting is deliberately **not** done here — the driver posts
-    /// emissions in edge-index order during [`Self::reduce_slot`], so
-    /// the ledger sees the same sequence at every worker count.
+    /// accounting, the slot's sample and the served table's statistics
+    /// over it, queueing, and emissions. Ledger posting is deliberately
+    /// **not** done here — the stepper posts emissions in edge-index
+    /// order during [`Self::reduce_slot`], so the ledger sees the same
+    /// sequence at every worker count.
     #[inline]
     fn serve_edge(
         &self,
@@ -1122,8 +884,11 @@ impl<'a> Environment<'a> {
 
         let arrivals = self.workloads[i].arrivals(t);
         let effective = self.effective_table(n, t);
-        let cell = self.stat_index(i, t, effective);
-        let (empirical_loss, accuracy) = (self.slot_loss[cell], self.slot_acc[cell]);
+        // Algorithm 1 is a bandit: the edge observes the loss of the
+        // model it hosts, so only the served table is folded.
+        let sample = lanes.draw_sample(k, arrivals, cfg.loss_sample_cap);
+        let table = &self.zoo.model(effective).eval;
+        let (empirical_loss, accuracy) = (table.mean_loss_at(sample), table.accuracy_at(sample));
 
         // Observational queueing metrics on the raw stream (the
         // emission model's workload scaling is a carbon-market
@@ -1331,10 +1096,8 @@ impl RunStepper {
     /// at every lane count.
     ///
     /// # Panics
-    /// Panics past the horizon, on a streaming environment whose next
-    /// slot is not the last ingested one (it holds only that slot's
-    /// statistics), or if the policy returns a malformed placement
-    /// vector.
+    /// Panics past the horizon, on a slot whose arrivals have not been
+    /// ingested, or if the policy returns a malformed placement vector.
     pub fn step(
         &mut self,
         env: &Environment,
@@ -1345,15 +1108,7 @@ impl RunStepper {
         let cfg = &env.config;
         let t = self.next_slot;
         assert!(t < cfg.horizon, "stepped past the horizon");
-        if env.streaming {
-            assert!(t < env.ingested, "slot {t} has not been ingested yet");
-            assert_eq!(
-                t + 1,
-                env.ingested,
-                "slot {t} cannot be served: a streaming environment holds only the last \
-                 ingested slot"
-            );
-        }
+        assert!(t < env.ingested, "slot {t} has not been ingested yet");
         span_enter(&mut profiler, "slot");
         // Step 1: model selection and (possible) download.
         span_enter(&mut profiler, "select");
@@ -1589,15 +1344,17 @@ impl RunStepper {
     }
 
     /// Reinstalls a snapshot taken by [`RunStepper::export_state`] on
-    /// a fresh stepper over the same environment, after which
+    /// a stepper over the same environment, after which
     /// [`RunStepper::step`] continues the run bit-identically to one
-    /// that was never interrupted.
+    /// that was never interrupted. The snapshot holds no stream state:
+    /// each edge's stream is replayed through the snapshot's slots from
+    /// the environment's ingested arrivals.
     ///
     /// # Errors
     /// Returns an error when the snapshot's shape does not match the
-    /// environment (edge count, horizon, fault-carry presence, per-edge
-    /// model count, or a model index outside the zoo), or when a ledger
-    /// total is negative or not finite.
+    /// environment (edge count, horizon, ingested slots, fault-carry
+    /// presence, per-edge model count, or a model index outside the
+    /// zoo), or when a ledger total is negative or not finite.
     pub fn restore_state(&mut self, env: &Environment, state: &StepperState) -> Result<(), String> {
         let num_edges: usize = self.lanes.iter().map(EdgeLanes::len).sum();
         if state.edges.len() != num_edges {
@@ -1610,6 +1367,12 @@ impl RunStepper {
             return Err(format!(
                 "checkpoint slot {} is past the horizon {}",
                 state.next_slot, env.config.horizon
+            ));
+        }
+        if state.next_slot > env.ingested {
+            return Err(format!(
+                "checkpoint slot {} is past the {} ingested slots",
+                state.next_slot, env.ingested
             ));
         }
         if state.records.len() != state.next_slot {
@@ -1672,10 +1435,16 @@ impl RunStepper {
             }
         }
         self.ledger = AllowanceLedger::from_parts(env.config.cap, &state.ledger);
+        self.lanes = env.edge_lanes(self.lanes.len());
+        let cap = env.config.loss_sample_cap;
         let mut edges = state.edges.iter();
         for lane in &mut self.lanes {
             for k in 0..lane.len() {
                 lane.import_edge(k, edges.next().expect("edge count checked above"));
+                let arrivals = env.workload(lane.global_index(k));
+                for t in 0..state.next_slot {
+                    lane.draw_sample(k, arrivals.arrivals(t), cap);
+                }
             }
         }
         self.slots = state.records.clone();
@@ -1900,9 +1669,8 @@ mod tests {
 
     #[test]
     fn serve_modes_identical_under_drift() {
-        // Batch and streamed environments index their statistic
-        // caches differently (every slot vs the last ingested one);
-        // the drift remap must hit the same cell in both.
+        // The drift remap picks the table the served sample is folded
+        // over, in batch and streamed runs alike.
         let zoo = ModelZoo::train(
             TaskKind::MnistLike,
             &ZooConfig::fast(),
@@ -1916,7 +1684,7 @@ mod tests {
         let a = env.run_traced(&mut Static(0), &mut rec);
         let (b, trace_b) =
             run_streamed(&env, &seed, &drawn_arrivals(&cfg, &seed), &mut Static(0), 1);
-        assert_eq!(a, b, "drift remap must hit the same cached statistics");
+        assert_eq!(a, b, "drift remap must fold the same table");
         assert_eq!(rec.to_jsonl_string(), trace_b);
     }
 
@@ -2363,186 +2131,107 @@ mod streaming_tests {
         (record, rec.to_jsonl_string())
     }
 
-    #[test]
-    fn lane_reduction_is_bit_identical_to_scalar_tables() {
-        let zoo = zoo();
-        let lanes = StatLanes::build(&zoo);
-        let m = zoo.len();
-        let pool = zoo.pool().len();
-        let cases: Vec<Vec<usize>> = vec![
-            Vec::new(), // empty-slot sentinels: loss 0.0, accuracy 1.0
-            vec![0],
-            vec![pool - 1],
-            (0..pool).collect(),
-            (0..pool).rev().collect(),
-            (0..257).map(|k| (k * 7919) % pool).collect(),
-            vec![pool / 2; 123], // repeats
-        ];
-        let mut loss = vec![f64::NAN; m];
-        let mut acc = vec![f64::NAN; m];
-        for indices in &cases {
-            lanes.reduce(indices, &mut loss, &mut acc);
-            for n in 0..m {
-                let table = &zoo.model(n).eval;
-                assert_eq!(
-                    loss[n].to_bits(),
-                    table.mean_loss_at(indices).to_bits(),
-                    "loss lane {n} diverged on {} indices",
-                    indices.len()
-                );
-                assert_eq!(
-                    acc[n].to_bits(),
-                    table.accuracy_at(indices).to_bits(),
-                    "accuracy lane {n} diverged on {} indices",
-                    indices.len()
-                );
-            }
+    /// [`Churner`] that keeps every per-edge outcome it is fed.
+    #[derive(Default)]
+    struct Recording {
+        fed: Vec<Vec<EdgeSlotOutcome>>,
+    }
+    impl Policy for Recording {
+        fn select_models(&mut self, t: usize) -> Vec<usize> {
+            Churner.select_models(t)
         }
-
-        // The public kernel hook reduces through the same lanes.
-        let env = Environment::new(faulty_cfg(), &zoo, &SeedSequence::new(67));
-        env.reduce_slot_stats(&cases[3], &mut loss, &mut acc);
-        for n in 0..m {
-            let table = &zoo.model(n).eval;
-            assert_eq!(loss[n].to_bits(), table.mean_loss_at(&cases[3]).to_bits());
-            assert_eq!(acc[n].to_bits(), table.accuracy_at(&cases[3]).to_bits());
+        fn decide_trades(&mut self, t: usize, ctx: &TradeContext) -> (Allowances, Allowances) {
+            Churner.decide_trades(t, ctx)
+        }
+        fn end_of_slot(&mut self, _t: usize, fb: &SlotFeedback) {
+            self.fed.push(fb.edges.clone());
+        }
+        fn name(&self) -> String {
+            "recording".into()
         }
     }
 
-    /// One fast zoo shared by every case of the lane property.
-    fn shared_zoo() -> &'static ModelZoo {
-        static ZOO: std::sync::OnceLock<ModelZoo> = std::sync::OnceLock::new();
-        ZOO.get_or_init(zoo)
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
-        /// Over arbitrary drawn-index sets — empty, repeated, and
-        /// reaching the last pool sample — the lane reduction is
-        /// `to_bits`-equal to every table's scalar folds.
-        #[test]
-        fn lane_reduce_matches_scalar_folds_on_arbitrary_indices(
-            raw in proptest::collection::vec(0u64..u64::MAX, 0..300),
-            keep in 0usize..4,
-            repeats in 0usize..50,
-            last in 0usize..3,
-        ) {
-            let zoo = shared_zoo();
-            let lanes = StatLanes::build(zoo);
-            let pool = zoo.pool().len();
-            let mut indices: Vec<usize> = if keep == 0 {
-                Vec::new()
-            } else {
-                raw.iter().map(|&r| (r % pool as u64) as usize).collect()
-            };
-            if let Some(&first) = indices.first() {
-                let at = indices.len() / 2;
-                indices.splice(at..at, std::iter::repeat(first).take(repeats));
-            }
-            indices.extend(std::iter::repeat(pool - 1).take(last));
-            let mut loss = vec![f64::NAN; zoo.len()];
-            let mut acc = vec![f64::NAN; zoo.len()];
-            lanes.reduce(&indices, &mut loss, &mut acc);
-            for n in 0..zoo.len() {
-                let table = &zoo.model(n).eval;
-                proptest::prop_assert_eq!(
-                    loss[n].to_bits(),
+    /// Asserts that every (edge, slot) statistic the policy was fed is
+    /// `to_bits`-equal to the served table's scalar folds over indices
+    /// redrawn from `seed`, exactly as the environment derives each
+    /// edge's stream.
+    fn assert_fed_scalar_folds(
+        env: &Environment,
+        seed: &SeedSequence,
+        fed: &[Vec<EdgeSlotOutcome>],
+    ) {
+        assert_eq!(fed.len(), env.horizon(), "one feedback per slot");
+        let cap = env.config().loss_sample_cap;
+        for i in 0..env.num_edges() {
+            let mut stream = DataStream::new(
+                env.zoo().pool().len(),
+                seed.derive("stream").derive_index(i as u64),
+            );
+            for (t, slot) in fed.iter().enumerate() {
+                let outcome = &slot[i];
+                let arrivals = env.workload(i).arrivals(t);
+                assert_eq!(outcome.arrivals, arrivals, "edge {i}, slot {t}");
+                let indices = stream.draw_slot_capped(arrivals, cap);
+                let table = &env.zoo().model(env.effective_table(outcome.model, t)).eval;
+                assert_eq!(
+                    outcome.empirical_loss.to_bits(),
                     table.mean_loss_at(&indices).to_bits(),
-                    "loss lane {} diverged on {} indices", n, indices.len()
+                    "fed loss of edge {i}, slot {t} is not the served table's fold"
                 );
-                proptest::prop_assert_eq!(
-                    acc[n].to_bits(),
+                assert_eq!(
+                    outcome.accuracy.to_bits(),
                     table.accuracy_at(&indices).to_bits(),
-                    "accuracy lane {} diverged on {} indices", n, indices.len()
+                    "fed accuracy of edge {i}, slot {t} is not the served table's fold"
                 );
             }
         }
     }
 
-    /// Asserts that every table's cached statistics for edge `i` at
-    /// slot `t` are `to_bits`-equal to the scalar folds over
-    /// `indices`.
-    fn assert_cells_match(env: &Environment, i: usize, t: usize, indices: &[usize]) {
-        for n in 0..env.num_models() {
-            let table = &env.zoo().model(n).eval;
-            let cell = env.stat_index(i, t, n);
-            assert_eq!(
-                env.slot_loss[cell].to_bits(),
-                table.mean_loss_at(indices).to_bits(),
-                "cached loss of edge {i}, slot {t}, table {n} is not the scalar fold"
-            );
-            assert_eq!(
-                env.slot_acc[cell].to_bits(),
-                table.accuracy_at(indices).to_bits(),
-                "cached accuracy of edge {i}, slot {t}, table {n} is not the scalar fold"
-            );
-        }
-    }
-
-    /// The per-edge sample streams, redrawn from the environment's
-    /// seed exactly as construction derives them.
-    fn oracle_streams(env: &Environment, seed: &SeedSequence) -> Vec<DataStream> {
-        (0..env.num_edges())
-            .map(|i| {
-                DataStream::new(
-                    env.zoo().pool().len(),
-                    seed.derive("stream").derive_index(i as u64),
-                )
-            })
-            .collect()
-    }
-
+    /// The policy is fed the scalar folds of the served table over
+    /// each edge's redrawn sample: in a faulty batch run, under quality
+    /// drift (the permuted table), and streamed at one and three lanes.
     #[test]
     fn cached_statistics_match_scalar_folds_over_redrawn_indices() {
         let zoo = zoo();
         let cfg = faulty_cfg();
-        let cap = cfg.loss_sample_cap;
         let seed = SeedSequence::new(69);
         let raw = raw_arrivals(&cfg);
 
-        // Batch: every (edge, slot) cell of the horizon-sized cache.
         let batch = Environment::with_arrival_trace(cfg.clone(), &zoo, &seed, &raw);
-        let mut streams = oracle_streams(&batch, &seed);
-        for (i, stream) in streams.iter_mut().enumerate() {
-            for t in 0..cfg.horizon {
-                let indices = stream.draw_slot_capped(batch.workload(i).arrivals(t), cap);
-                assert_cells_match(&batch, i, t, &indices);
-            }
-        }
-
-        // Streaming, interleaved as the daemon runs: after ingesting
-        // slot t, the one-slot cache holds exactly slot t's folds.
-        let mut streamed = Environment::streaming(cfg.clone(), &zoo, &seed);
-        let mut stepper = streamed.stepper(1);
-        let mut streams = oracle_streams(&streamed, &seed);
-        for t in 0..cfg.horizon {
-            let row: Vec<u64> = raw.iter().map(|edge| edge[t]).collect();
-            streamed.ingest_slot(t, &row);
-            for (i, stream) in streams.iter_mut().enumerate() {
-                let indices = stream.draw_slot_capped(streamed.workload(i).arrivals(t), cap);
-                assert_cells_match(&streamed, i, t, &indices);
-            }
-            stepper.step(&streamed, &mut Churner, None, None);
-        }
-        assert_eq!(
-            stepper.finish(&streamed, &mut Churner, None),
-            batch.run(&mut Churner)
+        let mut policy = Recording::default();
+        let want = batch.run(&mut policy);
+        assert_fed_scalar_folds(&batch, &seed, &policy.fed);
+        assert!(
+            (0..cfg.num_edges)
+                .any(|i| (0..cfg.horizon).any(|t| batch.workload(i).arrivals(t) != raw[i][t])),
+            "the fault schedule never shaped an arrival count"
         );
-    }
 
-    #[test]
-    fn streaming_cache_holds_one_slot_whatever_the_horizon() {
-        let zoo = zoo();
-        for horizon in [1, 10, 40] {
-            let mut cfg = faulty_cfg();
-            cfg.horizon = horizon;
-            let cells = cfg.num_edges * zoo.len();
-            let streamed = Environment::streaming(cfg.clone(), &zoo, &SeedSequence::new(70));
-            assert_eq!(streamed.slot_loss.len(), cells, "horizon {horizon}");
-            assert_eq!(streamed.slot_acc.len(), cells, "horizon {horizon}");
-            // Batch environments keep every slot: `run` replays them.
-            let batch = Environment::new(cfg, &zoo, &SeedSequence::new(70));
-            assert_eq!(batch.slot_loss.len(), cells * horizon);
+        let mut drift_cfg = SimConfig::fast_test(TaskKind::MnistLike);
+        drift_cfg.quality_drift_at = Some(20);
+        let drifted = Environment::new(drift_cfg, &zoo, &seed);
+        let mut policy = Recording::default();
+        drifted.run(&mut policy);
+        assert_fed_scalar_folds(&drifted, &seed, &policy.fed);
+        assert!(
+            policy.fed[20..]
+                .iter()
+                .flatten()
+                .any(|o| drifted.effective_table(o.model, 20) != o.model),
+            "drift never permuted a served table"
+        );
+
+        for lanes in [1, 3] {
+            let mut streamed = Environment::streaming(cfg.clone(), &zoo, &seed);
+            let mut stepper = streamed.stepper(lanes);
+            let mut policy = Recording::default();
+            for t in 0..cfg.horizon {
+                let row: Vec<u64> = raw.iter().map(|edge| edge[t]).collect();
+                streamed.ingest_slot(t, &row);
+                stepper.step(&streamed, &mut policy, None, None);
+            }
+            assert_fed_scalar_folds(&streamed, &seed, &policy.fed);
+            assert_eq!(stepper.finish(&streamed, &mut policy, None), want);
         }
     }
 
@@ -2572,7 +2261,7 @@ mod streaming_tests {
         // it, at one lane and at a ragged three-lane split.
         for lanes in [1, 3] {
             let mut env = Environment::streaming(cfg.clone(), &zoo, &seed);
-            assert!(env.is_streaming() && env.ingested() == 0);
+            assert_eq!(env.ingested(), 0);
             let mut stepper = env.stepper(lanes);
             let mut policy = Churner;
             let mut rec = Recorder::new();
@@ -2678,6 +2367,11 @@ mod streaming_tests {
         torn.records.clear();
         let mut fresh = faulted.stepper(1);
         assert!(fresh.restore_state(&faulted, &torn).is_err());
+        // The stream replay needs the restored slots' arrivals.
+        let streamed = Environment::streaming(faulty_cfg(), &zoo, &SeedSequence::new(67));
+        let mut fresh = streamed.stepper(1);
+        let err = fresh.restore_state(&streamed, &state).unwrap_err();
+        assert!(err.contains("past the 0 ingested slots"), "{err}");
     }
 
     #[test]
@@ -2691,17 +2385,26 @@ mod streaming_tests {
     }
 
     #[test]
-    #[should_panic(expected = "holds only the last ingested slot")]
-    fn serving_a_slot_behind_ingestion_panics() {
-        // Slot 1's draws overwrote slot 0's statistics, so serving
-        // slot 0 now would read the wrong slot.
+    fn ingesting_ahead_of_stepping_matches_batch_replay() {
+        // Arrivals may be ingested any number of slots ahead: the
+        // stepper draws each edge's sample when it serves the slot.
         let zoo = zoo();
-        let cfg = SimConfig::fast_test(TaskKind::MnistLike);
-        let mut env = Environment::streaming(cfg.clone(), &zoo, &SeedSequence::new(68));
-        let row = vec![5; cfg.num_edges];
-        env.ingest_slot(0, &row);
-        env.ingest_slot(1, &row);
+        let cfg = faulty_cfg();
+        let seed = SeedSequence::new(68);
+        let raw = raw_arrivals(&cfg);
+        let batch = Environment::with_arrival_trace(cfg.clone(), &zoo, &seed, &raw);
+        let (want, want_trace) = run_traced(&batch);
+        let mut env = Environment::streaming(cfg.clone(), &zoo, &seed);
+        for t in 0..cfg.horizon {
+            let row: Vec<u64> = raw.iter().map(|edge| edge[t]).collect();
+            env.ingest_slot(t, &row);
+        }
         let mut stepper = env.stepper(1);
-        stepper.step(&env, &mut Churner, None, None);
+        let mut rec = Recorder::new();
+        for _ in 0..cfg.horizon {
+            stepper.step(&env, &mut Churner, Some(&mut rec), None);
+        }
+        assert_eq!(stepper.finish(&env, &mut Churner, Some(&mut rec)), want);
+        assert_eq!(rec.to_jsonl_string(), want_trace);
     }
 }

@@ -2,12 +2,13 @@
 //! plumbing behind the stepper's edge lanes.
 //!
 //! [`EdgeLanes`] holds everything the serve loop mutates per edge —
-//! previous model, pending-download retry state, switch and selection
-//! counters, peak utilization — as parallel vectors over a contiguous
-//! chunk of edge indices. A one-lane stepper uses one lane covering
-//! every edge; a sharded stepper splits the fleet into one lane per
-//! worker, each cache-contiguous and served by one worker per slot,
-//! and reassembles the [`EdgeRecord`]s in edge order at the end of the
+//! the edge's sample stream, previous model, pending-download retry
+//! state, switch and selection counters, peak utilization — as
+//! parallel vectors over a contiguous chunk of edge indices. A
+//! one-lane stepper uses one lane covering every edge; a sharded
+//! stepper splits the fleet into one lane per worker, each
+//! cache-contiguous and served by one worker per slot, and
+//! reassembles the [`EdgeRecord`]s in edge order at the end of the
 //! run. Because both paths run the same serve code over the same
 //! layout, their records agree by construction.
 //!
@@ -17,6 +18,7 @@
 //! recorder in edge-index order — so traces are byte-identical at any
 //! worker count.
 
+use cne_simdata::stream::DataStream;
 use cne_util::telemetry::{Event, Recorder, Value};
 
 use crate::env::EdgeServeState;
@@ -57,6 +59,11 @@ pub(crate) struct EdgeLanes {
     /// Global index of the first edge in this lane.
     start: usize,
     num_models: usize,
+    /// Each edge's request stream: the served model's statistics are
+    /// folded over the indices it draws.
+    streams: Vec<DataStream>,
+    /// The last drawn sample, reused across edges and slots.
+    sample: Vec<usize>,
     prev_model: Vec<Option<usize>>,
     pending: Vec<PendingDownload>,
     switches: Vec<u64>,
@@ -66,11 +73,15 @@ pub(crate) struct EdgeLanes {
 }
 
 impl EdgeLanes {
-    /// A fresh lane covering global edges `start..start + len`.
-    pub(crate) fn new(start: usize, len: usize, num_models: usize) -> Self {
+    /// A fresh lane covering global edges `start..start + streams.len()`,
+    /// one stream per edge.
+    pub(crate) fn new(start: usize, streams: Vec<DataStream>, num_models: usize) -> Self {
+        let len = streams.len();
         Self {
             start,
             num_models,
+            streams,
+            sample: Vec::new(),
             prev_model: vec![None; len],
             pending: vec![PendingDownload::default(); len],
             switches: vec![0; len],
@@ -79,18 +90,31 @@ impl EdgeLanes {
         }
     }
 
-    /// Splits `num_edges` edges into `lanes` contiguous chunks whose
-    /// sizes differ by at most one (chunk `k` starts at
-    /// `k * num_edges / lanes`). Every chunk is non-empty when
-    /// `lanes <= num_edges`.
-    pub(crate) fn split(num_edges: usize, num_models: usize, lanes: usize) -> Vec<Self> {
+    /// Splits the fleet (one stream per edge, in edge order) into
+    /// `lanes` contiguous chunks whose sizes differ by at most one
+    /// (chunk `k` starts at `k * num_edges / lanes`). Every chunk is
+    /// non-empty when `lanes <= num_edges`.
+    pub(crate) fn split(streams: Vec<DataStream>, num_models: usize, lanes: usize) -> Vec<Self> {
+        let num_edges = streams.len();
+        let mut streams = streams.into_iter();
         (0..lanes)
             .map(|k| {
                 let start = k * num_edges / lanes;
                 let end = (k + 1) * num_edges / lanes;
-                Self::new(start, end - start, num_models)
+                Self::new(
+                    start,
+                    streams.by_ref().take(end - start).collect(),
+                    num_models,
+                )
             })
             .collect()
+    }
+
+    /// Draws edge `k`'s sample for a slot with `arrivals` requests:
+    /// `min(arrivals, cap)` pool indices from the edge's own stream.
+    pub(crate) fn draw_sample(&mut self, k: usize, arrivals: u64, cap: usize) -> &[usize] {
+        self.streams[k].draw_slot_capped_into(arrivals, cap, &mut self.sample);
+        &self.sample
     }
 
     /// Number of edges in this lane.
@@ -286,11 +310,18 @@ impl TeleSink<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cne_util::SeedSequence;
+
+    fn streams(edges: usize) -> Vec<DataStream> {
+        (0..edges)
+            .map(|i| DataStream::new(10, SeedSequence::new(i as u64)))
+            .collect()
+    }
 
     #[test]
     fn split_covers_every_edge_contiguously() {
         for (edges, lanes) in [(3, 1), (7, 2), (10, 4), (4, 4), (50, 3)] {
-            let split = EdgeLanes::split(edges, 2, lanes);
+            let split = EdgeLanes::split(streams(edges), 2, lanes);
             assert_eq!(split.len(), lanes);
             let mut next = 0;
             for lane in &split {
@@ -304,7 +335,7 @@ mod tests {
 
     #[test]
     fn records_reassemble_in_edge_order() {
-        let mut lanes = EdgeLanes::split(5, 3, 2);
+        let mut lanes = EdgeLanes::split(streams(5), 3, 2);
         // Stamp each edge with its global index so order is observable.
         for lane in &mut lanes {
             for k in 0..lane.len() {

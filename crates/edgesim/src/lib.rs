@@ -13,9 +13,10 @@
 //!    returned to the policy.
 //!
 //! The [`Environment`] pre-realizes everything that does not depend on
-//! policy decisions — topology, workload traces, price series, stream
-//! sample indices — so that competing policies are compared on exactly
-//! the same realization, as in the paper's evaluation.
+//! policy decisions — topology, workload traces, price series, and the
+//! seeds of each edge's sample stream — so that competing policies are
+//! compared on exactly the same realization, as in the paper's
+//! evaluation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

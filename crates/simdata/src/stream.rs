@@ -84,8 +84,17 @@ impl DataStream {
     /// full-horizon simulations with tens of thousands of arrivals per
     /// slot tractable.
     pub fn draw_slot_capped(&mut self, m: u64, cap: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.draw_slot_capped_into(m, cap, &mut out);
+        out
+    }
+
+    /// As [`DataStream::draw_slot_capped`], but overwriting `out`, so a
+    /// caller drawing every slot reuses one buffer.
+    pub fn draw_slot_capped_into(&mut self, m: u64, cap: usize, out: &mut Vec<usize>) {
         let take = (m as usize).min(cap);
-        self.draw_slot(take)
+        out.clear();
+        out.extend((0..take).map(|_| self.draw()));
     }
 }
 
@@ -126,6 +135,18 @@ mod tests {
         assert_eq!(s.draw_slot_capped(5000, 128).len(), 128);
         assert_eq!(s.draw_slot_capped(7, 128).len(), 7);
         assert_eq!(s.draw_slot_capped(0, 128).len(), 0);
+    }
+
+    #[test]
+    fn drawing_into_a_buffer_matches_drawing_fresh() {
+        let mut a = DataStream::new(50, SeedSequence::new(6));
+        let mut b = DataStream::new(50, SeedSequence::new(6));
+        let mut buf = vec![99; 7];
+        for m in [3, 0, 400, 12] {
+            b.draw_slot_capped_into(m, 100, &mut buf);
+            assert_eq!(a.draw_slot_capped(m, 100), buf);
+        }
+        assert_eq!(a.drawn(), b.drawn());
     }
 
     #[test]
