@@ -203,15 +203,8 @@ impl Policy for FixedPlacement {
 
 /// Median of a non-empty sample (mean of the middle pair for even
 /// sizes).
-fn median(mut xs: Vec<f64>) -> f64 {
-    assert!(!xs.is_empty(), "median of nothing");
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        0.5 * (xs[n / 2 - 1] + xs[n / 2])
-    }
+fn median(xs: Vec<f64>) -> f64 {
+    cne_util::stats::quantile(&xs, 0.5)
 }
 
 /// Microseconds per slot for one fixed-placement run. The run itself
@@ -525,9 +518,12 @@ fn bench_serve_loop(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut Ve
     });
 
     let mut push_us = Vec::with_capacity(reps);
+    let mut served_us = Vec::with_capacity(reps);
     let mut ckpt_us = Vec::with_capacity(reps);
     let mut batch_us = Vec::with_capacity(reps);
     for _ in 0..reps {
+        let mut stopwatch = Profiler::new();
+        stopwatch.enter("new");
         let mut session = ServeSession::new(
             config.clone(),
             zoo,
@@ -535,13 +531,14 @@ fn bench_serve_loop(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut Ve
             Combo::ours(),
             &ServeOptions::default(),
         );
-        let mut stopwatch = Profiler::new();
+        stopwatch.exit();
         stopwatch.enter("serve");
         for row in &arrivals {
             session.push_slot(row);
         }
         stopwatch.exit();
         push_us.push(stopwatch.total_us("serve") / horizon as f64);
+        served_us.push((stopwatch.total_us("new") + stopwatch.total_us("serve")) / horizon as f64);
 
         let mut stopwatch = Profiler::new();
         stopwatch.enter("ckpt");
@@ -551,7 +548,7 @@ fn bench_serve_loop(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut Ve
         ckpt_us.push(stopwatch.total_us("ckpt"));
 
         // A cold batch replay over the same arrivals, for the overhead
-        // ratio, construction included. Both sides draw every sample
+        // ratio. Both sides include construction and draw every sample
         // inside their stepper.
         let seed = SeedSequence::new(SEED);
         let mut stopwatch = Profiler::new();
@@ -582,7 +579,7 @@ fn bench_serve_loop(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut Ve
     entries.push(BenchEntry {
         name: format!("serve_loop/overhead/edges={edges}"),
         metric: "ratio".to_owned(),
-        value: push / median(batch_us),
+        value: median(served_us) / median(batch_us),
         better: "lower",
         gate: false,
         min: None,
@@ -621,12 +618,14 @@ fn bench_serve_loop(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut Ve
     bench_wal(&config, zoo, &arrivals, reps, entries);
 }
 
-/// The arrival WAL riding the serve hot loop: framing/append cost per
-/// record (fsync off — the policies only add `fsync(2)` latency, which
-/// is machine noise, not code cost), and a hard-floored recovery
-/// equivalence check: a log torn mid-frame, recovered through
-/// `Wal::open` → `replay` → `apply_wal_tail`, must finish bit-identical
-/// to the uninterrupted session.
+/// The arrival WAL riding the serve hot loop. The daemon's own loop
+/// (`cne_core::daemon::SlotLoop`) serves the arrivals from wire bytes,
+/// one block per slot, and writes its log; the framing/append cost per
+/// record is timed by appending exactly those records again (fsync off
+/// — the policies only add `fsync(2)` latency, which is machine noise,
+/// not code cost). Then a hard-floored recovery equivalence check: a
+/// log torn mid-frame, recovered the way `serve --resume` recovers,
+/// must finish bit-identical to the uninterrupted daemon.
 fn bench_wal(
     config: &cne_edgesim::SimConfig,
     zoo: &ModelZoo,
@@ -634,35 +633,62 @@ fn bench_wal(
     reps: usize,
     entries: &mut Vec<BenchEntry>,
 ) {
-    use cne_core::wal::{self, GroupCommit, SyncPolicy, Wal, WalOptions, WalRecord};
+    use cne_core::daemon::{DaemonOptions, SlotLoop};
+    use cne_core::wal::{self, SyncPolicy, Wal, WalOptions};
 
     const SEED: u64 = 7;
     let edges = config.num_edges;
-    let horizon = config.horizon;
-    // The daemon's record stream when each slot's lines (one per edge
-    // with traffic) arrive in one block: one group-committed sums frame
-    // and one close per slot.
-    let mut batch = GroupCommit::new(edges);
-    let mut records = Vec::new();
-    for (t, row) in arrivals.iter().enumerate() {
-        for (e, &c) in row.iter().enumerate() {
-            if c > 0 {
-                batch.add(e, c);
-            }
-        }
-        records.extend(batch.take(t as u64));
-        records.push(WalRecord::SlotClose { slot: t as u64 });
-    }
     let dir = std::env::temp_dir().join(format!("cne-bench-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = |name: &str| Some(dir.join(name).to_string_lossy().into_owned());
+    let opts = ServeOptions {
+        telemetry: true,
+        ..ServeOptions::default()
+    };
+    // Serves the arrivals through the daemon's loop over the log in
+    // `dir/name`: from slot 0, or recovering from that log and having
+    // the source re-send only what it never acknowledged (`acked`, of
+    // the open slot).
+    let serve = |name: &str, acked: Option<&[u64]>| {
+        let daemon_opts = DaemonOptions {
+            seed: SEED,
+            resume: acked.and_then(|_| path("none.ckpt")),
+            wal: path(name),
+            wal_sync: SyncPolicy::Off,
+            max_line_bytes: 1024,
+            ..DaemonOptions::default()
+        };
+        let mut daemon =
+            SlotLoop::recover(config.clone(), zoo, Combo::ours(), None, &opts, daemon_opts)
+                .expect("daemon starts");
+        let mut acked = acked.map_or_else(|| vec![0; edges], <[u64]>::to_vec);
+        for row in &arrivals[daemon.session().next_slot()..] {
+            let mut block = String::new();
+            for (e, (&c, seen)) in row.iter().zip(&mut acked).enumerate() {
+                if c > *seen {
+                    block.push_str(&format!("{{\"edge\":{e},\"count\":{}}}\n", c - *seen));
+                }
+                *seen = 0;
+            }
+            block.push_str("{\"slot_end\":true}\n");
+            daemon.ingest(block.as_bytes(), 0).expect("ingest");
+        }
+        daemon.finish().expect("finish")
+    };
+    let full_out = serve("daemon", None);
+    let records = wal::read_records(&dir.join("daemon"))
+        .expect("read the daemon's WAL")
+        .records;
 
     let mut append_us = Vec::with_capacity(reps);
+    let timed = dir.join("timed");
     for _ in 0..reps {
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&timed);
         let options = WalOptions {
             sync: SyncPolicy::Off,
             ..WalOptions::default()
         };
-        let (mut handle, _) = Wal::open(&dir, options).expect("open bench WAL");
+        let (mut handle, _) = Wal::open(&timed, options).expect("open bench WAL");
         let mut stopwatch = Profiler::new();
         stopwatch.enter("wal");
         for record in &records {
@@ -682,37 +708,16 @@ fn bench_wal(
 
     // Recovery equivalence over the log the timing loop just wrote,
     // torn a few bytes into its final frame.
-    let opts = ServeOptions {
-        telemetry: true,
-        ..ServeOptions::default()
-    };
-    let mut full = ServeSession::new(config.clone(), zoo, SEED, Combo::ours(), &opts);
-    for row in arrivals {
-        full.push_slot(row);
-    }
-    let full_out = full.finish();
-
-    let seg = dir.join("wal-00000001.log");
+    let seg = timed.join("wal-00000001.log");
     let bytes = std::fs::read(&seg).expect("read bench WAL");
     std::fs::write(&seg, &bytes[..bytes.len() - 3]).expect("tear bench WAL");
-    let (_, recovery) = Wal::open(&dir, WalOptions::default()).expect("recover bench WAL");
-    let identical = recovery.torn.is_some()
-        && wal::replay(&recovery.records, edges, 0)
-            .map(|tail| {
-                let mut session =
-                    ServeSession::new(config.clone(), zoo, SEED, Combo::ours(), &opts);
-                session
-                    .apply_wal_tail(&tail)
-                    .expect("tail continues slot 0");
-                for row in &arrivals[session.next_slot()..horizon] {
-                    session.push_slot(row);
-                }
-                let out = session.finish();
-                out.record == full_out.record
-                    && out.telemetry.map(|r| r.to_jsonl_string())
-                        == full_out.telemetry.as_ref().map(Recorder::to_jsonl_string)
-            })
-            .unwrap_or(false);
+    let scan = wal::read_records(&timed).expect("scan the torn WAL");
+    let tail = wal::replay(&scan.records, edges, 0).expect("replay the torn WAL");
+    let out = serve("timed", Some(&tail.open));
+    let identical = scan.torn.is_some()
+        && out.record == full_out.record
+        && out.telemetry.map(|r| r.to_jsonl_string())
+            == full_out.telemetry.as_ref().map(Recorder::to_jsonl_string);
     let _ = std::fs::remove_dir_all(&dir);
     entries.push(BenchEntry {
         name: format!("serve_loop/wal_recovery_identical/edges={edges}"),

@@ -4,99 +4,20 @@
 //! readiness) over `unix:PATH` or `tcp:HOST:PORT`.
 //!
 //! The endpoint is strictly read-only and lives entirely off the
-//! deterministic serve path: the daemon renders a metrics page after
-//! each slot and publishes it into [`AdminState`]; the listener thread
-//! only ever reads that snapshot. Telemetry traces are byte-identical
-//! with the admin endpoint on or off.
+//! deterministic serve path: the daemon loop (`cne_core::daemon`)
+//! renders a metrics page after each slot and publishes it into
+//! [`AdminState`]; the listener thread only ever reads that snapshot.
+//! Telemetry traces are byte-identical with the admin endpoint on or
+//! off.
 
 use std::io::{BufRead as _, BufReader, Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
+
+pub use cne_core::daemon::AdminState;
 
 /// How long a connection may dawdle before the server gives up on it.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Snapshot shared between the serve loop (writer) and the admin
-/// listener thread (reader).
-pub struct AdminState {
-    metrics: Mutex<String>,
-    last_progress: Mutex<Instant>,
-    done: AtomicBool,
-    degraded: AtomicBool,
-    ready_deadline: Duration,
-}
-
-impl AdminState {
-    /// Creates the shared state. The slot clock starts now: a daemon
-    /// that never serves its first slot within `ready_deadline` reads
-    /// as not ready.
-    #[must_use]
-    pub fn new(ready_deadline: Duration) -> Arc<Self> {
-        Arc::new(Self {
-            metrics: Mutex::new(String::new()),
-            last_progress: Mutex::new(Instant::now()),
-            done: AtomicBool::new(false),
-            degraded: AtomicBool::new(false),
-            ready_deadline,
-        })
-    }
-
-    /// Publishes a freshly rendered metrics page and restarts the
-    /// slot clock — called by the serve loop after each slot.
-    pub fn publish(&self, page: String) {
-        *self.metrics.lock().expect("admin metrics lock") = page;
-        self.touch();
-    }
-
-    /// Restarts the slot clock without changing the page.
-    pub fn touch(&self) {
-        *self.last_progress.lock().expect("admin progress lock") = Instant::now();
-    }
-
-    /// Marks the run complete: a finished daemon is permanently ready
-    /// (it is draining, not stalled).
-    pub fn mark_done(&self) {
-        self.done.store(true, Ordering::SeqCst);
-    }
-
-    /// Flips the degraded-durability flag: `true` while the daemon is
-    /// still serving but can no longer make its WAL/checkpoint
-    /// guarantees (persistent storage failure), `false` once a
-    /// successful checkpoint restores them. A degraded daemon reads
-    /// 503 on `/readyz` so orchestrators stop routing traffic that
-    /// would be lost in a crash.
-    pub fn set_degraded(&self, degraded: bool) {
-        self.degraded.store(degraded, Ordering::SeqCst);
-    }
-
-    /// Whether durability is currently degraded.
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::SeqCst)
-    }
-
-    /// The current metrics page.
-    #[must_use]
-    pub fn metrics_page(&self) -> String {
-        self.metrics.lock().expect("admin metrics lock").clone()
-    }
-
-    /// Seconds since the slot clock was last restarted.
-    fn stalled_for(&self) -> Duration {
-        self.last_progress
-            .lock()
-            .expect("admin progress lock")
-            .elapsed()
-    }
-
-    /// Readiness: the run is complete, or the slot clock moved within
-    /// the deadline.
-    #[must_use]
-    pub fn is_ready(&self) -> bool {
-        self.done.load(Ordering::SeqCst) || self.stalled_for() <= self.ready_deadline
-    }
-}
 
 /// Routes one request to `(status line, content type, body)`.
 fn route(method: &str, path: &str, state: &AdminState) -> (&'static str, &'static str, String) {
@@ -314,8 +235,8 @@ mod tests {
         assert_eq!(code, 503, "stalled past the deadline");
         assert!(body.contains("stalled"), "body explains: {body}");
 
-        state.touch();
-        let (code, _) = http_get(&addr, "/readyz").expect("touched clock");
+        state.publish(String::new());
+        let (code, _) = http_get(&addr, "/readyz").expect("published slot");
         assert_eq!(code, 200, "progress restores readiness");
 
         state.mark_done();

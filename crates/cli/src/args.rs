@@ -1,6 +1,6 @@
 //! Minimal flag parsing (no third-party dependency).
 
-use cne_core::wal::SyncPolicy;
+use cne_core::daemon::DaemonOptions;
 use cne_simdata::dataset::TaskKind;
 
 /// Default cap on one wire line (64 KiB) — far above any legitimate
@@ -55,30 +55,11 @@ pub struct Options {
     /// `--seeds K` averages seeds `1..=K`; a daemon serves exactly
     /// one).
     pub seed: u64,
-    /// `serve`: write checkpoints to this path.
-    pub checkpoint: Option<String>,
-    /// `serve`: rewrite the checkpoint after every N served slots.
-    pub checkpoint_every: Option<usize>,
-    /// `serve`: resume from a checkpoint file instead of starting
-    /// fresh.
-    pub resume: Option<String>,
-    /// `serve`: append every arrival to a write-ahead log in this
-    /// directory, and replay its tail on `--resume`.
-    pub wal: Option<String>,
-    /// `serve`: WAL fsync policy (`every` | `slot` | `off`).
-    pub wal_sync: SyncPolicy,
-    /// `serve`: reject wire lines longer than this many bytes.
-    pub max_line_bytes: usize,
-    /// `serve`: exit with an error after this many rejected wire
-    /// lines (malformed lines are counted and skipped, not fatal).
-    pub max_bad_lines: u64,
-    /// `serve`: stop after slot K is served — write the checkpoint and
-    /// exit cleanly (for drills and CI).
-    pub halt_at_slot: Option<usize>,
-    /// `serve`: close the open slot after N request lines.
-    pub slot_requests: Option<usize>,
-    /// `serve`: close the open slot after M wall-clock milliseconds.
-    pub slot_ms: Option<u64>,
+    /// `serve`: the daemon loop's own flags (`--checkpoint`,
+    /// `--resume`, `--wal`, `--slot-ms`, …). Its `seed` and `telemetry`
+    /// stay unset here; `serve` fills them from `--seed` and
+    /// `--telemetry`.
+    pub daemon: DaemonOptions,
     /// `serve`: listen on `unix:PATH` or `tcp:ADDR` instead of stdin.
     pub listen: Option<String>,
     /// `serve`: expose `/metrics`, `/healthz`, `/readyz` on `unix:PATH`
@@ -126,16 +107,11 @@ impl Default for Options {
             tolerance: 0.25,
             faults: None,
             seed: 1,
-            checkpoint: None,
-            checkpoint_every: None,
-            resume: None,
-            wal: None,
-            wal_sync: SyncPolicy::Slot,
-            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
-            max_bad_lines: DEFAULT_MAX_BAD_LINES,
-            halt_at_slot: None,
-            slot_requests: None,
-            slot_ms: None,
+            daemon: DaemonOptions {
+                max_line_bytes: DEFAULT_MAX_LINE_BYTES,
+                max_bad_lines: DEFAULT_MAX_BAD_LINES,
+                ..DaemonOptions::default()
+            },
             listen: None,
             admin: None,
             ready_deadline_ms: 5000,
@@ -227,7 +203,7 @@ impl Options {
                         .parse()
                         .map_err(|_| "seed must be a non-negative integer".to_owned())?;
                 }
-                "--checkpoint" => opts.checkpoint = Some(value("--checkpoint")?),
+                "--checkpoint" => opts.daemon.checkpoint = Some(value("--checkpoint")?),
                 "--checkpoint-every" => {
                     let n: usize = value("--checkpoint-every")?
                         .parse()
@@ -235,11 +211,11 @@ impl Options {
                     if n == 0 {
                         return Err("checkpoint-every must be at least 1".to_owned());
                     }
-                    opts.checkpoint_every = Some(n);
+                    opts.daemon.checkpoint_every = Some(n);
                 }
-                "--resume" => opts.resume = Some(value("--resume")?),
-                "--wal" => opts.wal = Some(value("--wal")?),
-                "--wal-sync" => opts.wal_sync = value("--wal-sync")?.parse()?,
+                "--resume" => opts.daemon.resume = Some(value("--resume")?),
+                "--wal" => opts.daemon.wal = Some(value("--wal")?),
+                "--wal-sync" => opts.daemon.wal_sync = value("--wal-sync")?.parse()?,
                 "--max-line-bytes" => {
                     let n: usize = value("--max-line-bytes")?
                         .parse()
@@ -249,10 +225,10 @@ impl Options {
                                     request line must fit)"
                             .to_owned());
                     }
-                    opts.max_line_bytes = n;
+                    opts.daemon.max_line_bytes = n;
                 }
                 "--max-bad-lines" => {
-                    opts.max_bad_lines = value("--max-bad-lines")?
+                    opts.daemon.max_bad_lines = value("--max-bad-lines")?
                         .parse()
                         .map_err(|_| "max-bad-lines must be a non-negative integer".to_owned())?;
                 }
@@ -265,7 +241,7 @@ impl Options {
                                     has not been served yet)"
                             .to_owned());
                     }
-                    opts.halt_at_slot = Some(k);
+                    opts.daemon.halt_at_slot = Some(k);
                 }
                 "--slot-requests" => {
                     let n: usize = value("--slot-requests")?
@@ -274,7 +250,7 @@ impl Options {
                     if n == 0 {
                         return Err("slot-requests must be at least 1".to_owned());
                     }
-                    opts.slot_requests = Some(n);
+                    opts.daemon.slot_requests = Some(n);
                 }
                 "--slot-ms" => {
                     let ms: u64 = value("--slot-ms")?
@@ -283,7 +259,7 @@ impl Options {
                     if ms == 0 {
                         return Err("slot-ms must be at least 1".to_owned());
                     }
-                    opts.slot_ms = Some(ms);
+                    opts.daemon.slot_ms = Some(ms);
                 }
                 "--listen" => opts.listen = Some(value("--listen")?),
                 "--admin" => opts.admin = Some(value("--admin")?),
@@ -486,19 +462,19 @@ mod tests {
         ])
         .expect("valid");
         assert_eq!(o.seed, 7);
-        assert_eq!(o.checkpoint.as_deref(), Some("state.ckpt"));
-        assert_eq!(o.checkpoint_every, Some(5));
-        assert_eq!(o.resume.as_deref(), Some("old.ckpt"));
-        assert_eq!(o.halt_at_slot, Some(12));
-        assert_eq!(o.slot_requests, Some(64));
-        assert_eq!(o.slot_ms, Some(250));
+        assert_eq!(o.daemon.checkpoint.as_deref(), Some("state.ckpt"));
+        assert_eq!(o.daemon.checkpoint_every, Some(5));
+        assert_eq!(o.daemon.resume.as_deref(), Some("old.ckpt"));
+        assert_eq!(o.daemon.halt_at_slot, Some(12));
+        assert_eq!(o.daemon.slot_requests, Some(64));
+        assert_eq!(o.daemon.slot_ms, Some(250));
         assert_eq!(o.listen.as_deref(), Some("unix:/tmp/serve.sock"));
 
         let d = parse(&[]).expect("defaults");
         assert_eq!(d.seed, 1);
-        assert!(d.checkpoint.is_none() && d.resume.is_none());
-        assert!(d.checkpoint_every.is_none() && d.halt_at_slot.is_none());
-        assert!(d.slot_requests.is_none() && d.slot_ms.is_none());
+        assert!(d.daemon.checkpoint.is_none() && d.daemon.resume.is_none());
+        assert!(d.daemon.checkpoint_every.is_none() && d.daemon.halt_at_slot.is_none());
+        assert!(d.daemon.slot_requests.is_none() && d.daemon.slot_ms.is_none());
         assert!(d.listen.is_none());
 
         assert!(parse(&["--checkpoint-every", "0"]).is_err());
@@ -521,16 +497,16 @@ mod tests {
             "0",
         ])
         .expect("valid");
-        assert_eq!(o.wal.as_deref(), Some("state.wal"));
-        assert_eq!(o.wal_sync, SyncPolicy::Every);
-        assert_eq!(o.max_line_bytes, 4096);
-        assert_eq!(o.max_bad_lines, 0);
+        assert_eq!(o.daemon.wal.as_deref(), Some("state.wal"));
+        assert_eq!(o.daemon.wal_sync, cne_core::wal::SyncPolicy::Every);
+        assert_eq!(o.daemon.max_line_bytes, 4096);
+        assert_eq!(o.daemon.max_bad_lines, 0);
 
         let d = parse(&[]).expect("defaults");
-        assert!(d.wal.is_none());
-        assert_eq!(d.wal_sync, SyncPolicy::Slot);
-        assert_eq!(d.max_line_bytes, DEFAULT_MAX_LINE_BYTES);
-        assert_eq!(d.max_bad_lines, DEFAULT_MAX_BAD_LINES);
+        assert!(d.daemon.wal.is_none());
+        assert_eq!(d.daemon.wal_sync, cne_core::wal::SyncPolicy::Slot);
+        assert_eq!(d.daemon.max_line_bytes, DEFAULT_MAX_LINE_BYTES);
+        assert_eq!(d.daemon.max_bad_lines, DEFAULT_MAX_BAD_LINES);
 
         assert!(parse(&["--wal-sync", "sometimes"]).is_err());
         assert!(

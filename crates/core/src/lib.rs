@@ -31,6 +31,9 @@
 //! * [`serve`] — the streaming serve session behind `carbon-edge
 //!   serve`: slot-at-a-time ingestion through the same decision
 //!   machinery, byte-comparable to a batch replay;
+//! * [`daemon`] — the serve daemon's loop over any byte stream: block
+//!   reader, wire decode, WAL group commit, slot closing, checkpoints,
+//!   and recovery from the last checkpoint plus the WAL tail;
 //! * [`checkpoint`] — the versioned on-disk snapshot format behind
 //!   `serve --checkpoint-every`/`--resume`;
 //! * [`wire`] — the serve daemon's request-stream decoders: the
@@ -71,6 +74,7 @@ pub mod checkpoint;
 pub mod combos;
 pub mod controller;
 pub mod crashpoint;
+pub mod daemon;
 pub mod monitor;
 pub mod offline;
 pub mod problem;

@@ -2,7 +2,7 @@
 //!
 //! [`ServeSession`] drives one long-lived run slot-by-slot: the caller
 //! feeds it raw per-edge arrival counts as slots close (collected from
-//! a pipe or socket by the CLI daemon), and the session takes the same
+//! wire bytes by [`crate::daemon::SlotLoop`]), and the session takes the same
 //! Algorithm 1/2 decisions the batch driver would take — identical
 //! seeding (`SeedSequence::new(seed)` with the `"env"`/`"alg"`
 //! branches), identical serve path (the [`RunStepper`] hot loop,
@@ -267,13 +267,6 @@ impl<'a> ServeSession<'a> {
     #[must_use]
     pub fn ledger(&self) -> &cne_market::AllowanceLedger {
         self.stepper.ledger()
-    }
-
-    /// The most recently served slot's record, if any slot has been
-    /// served.
-    #[must_use]
-    pub fn last_record(&self) -> Option<&cne_edgesim::SlotRecord> {
-        self.stepper.records().last()
     }
 
     /// The live theorem-envelope monitor, when enabled.

@@ -250,6 +250,127 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    #[test]
+    fn wire_lines_parse() {
+        match decode_strict("{\"edge\": 2, \"count\": 7}", 4).expect("valid") {
+            WireMsg::Request { edge, count } => {
+                assert_eq!((edge, count), (2, 7));
+            }
+            WireMsg::SlotEnd => panic!("not a slot end"),
+        }
+        match decode_strict("{\"edge\": 0}", 4).expect("count defaults to 1") {
+            WireMsg::Request { edge, count } => {
+                assert_eq!((edge, count), (0, 1));
+            }
+            WireMsg::SlotEnd => panic!("not a slot end"),
+        }
+        assert!(matches!(
+            decode_strict("{\"slot_end\": true}", 4),
+            Ok(WireMsg::SlotEnd)
+        ));
+    }
+
+    #[test]
+    fn wire_lines_reject_malformed_input() {
+        assert!(decode_strict("not json", 4).is_err());
+        assert!(decode_strict("[1, 2]", 4).is_err());
+        assert!(decode_strict("{\"slot_end\": false}", 4).is_err());
+        assert!(
+            decode_strict("{\"count\": 3}", 4).is_err(),
+            "edge is required"
+        );
+        assert!(decode_strict("{\"edge\": -1}", 4).is_err());
+        assert!(decode_strict("{\"edge\": 4}", 4).is_err(), "out of range");
+        assert!(decode_strict("{\"edge\": 1, \"count\": -2}", 4).is_err());
+    }
+
+    #[test]
+    fn adversarial_wire_corpus_is_rejected_or_well_defined() {
+        // Torn / partial JSON — every prefix of a valid line must be
+        // rejected, never panic or mis-parse.
+        let full = "{\"edge\": 3, \"count\": 17}";
+        for cut in 1..full.len() {
+            let prefix = &full[..cut];
+            if prefix == full {
+                continue;
+            }
+            assert!(
+                decode_strict(prefix, 8).is_err(),
+                "torn prefix must not parse: {prefix:?}"
+            );
+        }
+
+        // Duplicate keys: the first occurrence wins (the hand-rolled
+        // parser keeps both; lookup is first-match). Pinned so the
+        // behavior is deliberate, not accidental.
+        match decode_strict("{\"edge\": 1, \"edge\": 7}", 8).expect("first edge wins") {
+            WireMsg::Request { edge, count } => assert_eq!((edge, count), (1, 1)),
+            WireMsg::SlotEnd => panic!("not a slot end"),
+        }
+        match decode_strict("{\"edge\": 0, \"count\": 2, \"count\": 9}", 8)
+            .expect("first count wins")
+        {
+            WireMsg::Request { edge, count } => assert_eq!((edge, count), (0, 2)),
+            WireMsg::SlotEnd => panic!("not a slot end"),
+        }
+
+        // slot_end interleaved with request fields: slot_end takes
+        // precedence regardless of field order.
+        assert!(matches!(
+            decode_strict("{\"edge\": 1, \"slot_end\": true}", 8),
+            Ok(WireMsg::SlotEnd)
+        ));
+        assert!(matches!(
+            decode_strict("{\"slot_end\": true, \"count\": 5}", 8),
+            Ok(WireMsg::SlotEnd)
+        ));
+        assert!(decode_strict("{\"slot_end\": 1}", 8).is_err());
+        assert!(decode_strict("{\"slot_end\": \"true\"}", 8).is_err());
+
+        // Huge, negative, and non-integer edge/count values.
+        assert!(
+            decode_strict("{\"edge\": 18446744073709551615}", 8).is_err(),
+            "u64::MAX edge"
+        );
+        assert!(
+            decode_strict("{\"edge\": 99999999999999999999999}", 8).is_err(),
+            "overflow"
+        );
+        assert!(decode_strict("{\"edge\": -3}", 8).is_err());
+        assert!(decode_strict("{\"edge\": 1.5}", 8).is_err());
+        assert!(decode_strict("{\"edge\": \"1\"}", 8).is_err());
+        assert!(decode_strict("{\"edge\": 1, \"count\": -9223372036854775808}", 8).is_err());
+        assert!(decode_strict("{\"edge\": 1, \"count\": 3.7}", 8).is_err());
+        assert!(decode_strict("{\"edge\": 1, \"count\": null}", 8).is_err());
+        // u64::MAX count is structurally valid — the accumulator is
+        // u64 and the daemon's per-slot sum may saturate, but parsing
+        // must not reject or wrap it.
+        match decode_strict("{\"edge\": 0, \"count\": 18446744073709551615}", 8).expect("valid") {
+            WireMsg::Request { count, .. } => assert_eq!(count, u64::MAX),
+            WireMsg::SlotEnd => panic!("not a slot end"),
+        }
+
+        // Structural garbage.
+        for line in [
+            "",
+            "   ",
+            "null",
+            "true",
+            "42",
+            "\"edge\"",
+            "[{\"edge\": 1}]",
+            "{\"edge\": {\"nested\": 1}}",
+            "{}",
+            "{\"unrelated\": 1}",
+            "{\"edge\": 1,}",
+            "{'edge': 1}",
+            "{\"edge\" 1}",
+            "\u{0}\u{1}\u{2}",
+        ] {
+            assert!(decode_strict(line, 8).is_err(), "must reject {line:?}");
+        }
+    }
+
     /// The slow chain alone: the strict path on the trimmed line,
     /// blank lines skipped.
     fn reference(line: &str, num_edges: usize) -> Result<Option<WireMsg>, String> {

@@ -1,14 +1,17 @@
 //! Recovery-equivalence contract of the arrival WAL: a run cut off at
 //! *any* byte of its log — frame boundaries, torn mid-frame tails,
-//! before or after a checkpoint install — and recovered through
-//! `Wal::open` → `replay` → `ServeSession::apply_wal_tail` finishes
+//! before or after a checkpoint install — and recovered the way
+//! `serve --resume` recovers (`SlotLoop::recover`: checkpoint, then
+//! `Wal::open` → `replay` → `ServeSession::apply_wal_tail`) finishes
 //! bit-identically to the uninterrupted run, at any resume edge-thread
-//! count, in both serve modes, under a mixed fault scenario.
+//! count, under a mixed fault scenario. Every log here is written by
+//! the daemon's own loop from wire bytes.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use cne_core::wal::{self, GroupCommit, Wal, WalOptions, WalRecord};
-use cne_core::{Checkpoint, Combo, ServeOptions, ServeSession};
+use cne_core::daemon::{DaemonOptions, SlotLoop};
+use cne_core::wal::{self, WalRecord};
+use cne_core::{Checkpoint, Combo, ServeOptions, ServeOutcome, ServeSession};
 use cne_edgesim::{RunRecord, SimConfig};
 use cne_faults::FaultScenario;
 use cne_nn::{ModelZoo, ZooConfig};
@@ -48,25 +51,6 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The exact record stream the daemon would append for slots
-/// `0..upto` when each slot's lines (one per edge with traffic, as
-/// `gen-arrivals` writes them) arrive in one block: one group-committed
-/// `ArrivalSums` frame, then a `SlotClose` per slot.
-fn daemon_records(arrivals: &[Vec<u64>], upto: usize) -> Vec<WalRecord> {
-    let mut records = Vec::new();
-    let mut batch = GroupCommit::new(arrivals.len());
-    for t in 0..upto {
-        for (edge, row) in arrivals.iter().enumerate() {
-            if row[t] > 0 {
-                batch.add(edge, row[t]);
-            }
-        }
-        records.extend(batch.take(t as u64));
-        records.push(WalRecord::SlotClose { slot: t as u64 });
-    }
-    records
-}
-
 fn serve_opts(edge_threads: usize) -> ServeOptions {
     ServeOptions {
         edge_threads,
@@ -75,71 +59,132 @@ fn serve_opts(edge_threads: usize) -> ServeOptions {
     }
 }
 
-/// Uninterrupted reference run: `(record json-able struct, trace bytes)`.
+/// The daemon's options over the WAL in `dir`; `resume` continues
+/// from `dir/state.ckpt`, or from the WAL alone while it is missing.
+fn daemon_opts(dir: &Path, resume: bool) -> DaemonOptions {
+    let path = |name: &str| Some(dir.join(name).to_str().expect("utf-8 path").to_owned());
+    DaemonOptions {
+        seed: SEED,
+        resume: if resume { path("state.ckpt") } else { None },
+        wal: path("wal"),
+        max_line_bytes: 1024,
+        ..DaemonOptions::default()
+    }
+}
+
+/// Starts (or recovers) the daemon's loop over `opts`.
+fn daemon<'z>(
+    zoo: &'z ModelZoo,
+    cfg: &SimConfig,
+    opts: DaemonOptions,
+    edge_threads: usize,
+) -> SlotLoop<'z> {
+    let checkpoint = opts.resume_checkpoint().expect("readable checkpoint");
+    SlotLoop::recover(
+        cfg.clone(),
+        zoo,
+        Combo::ours(),
+        checkpoint.as_ref(),
+        &serve_opts(edge_threads),
+        opts,
+    )
+    .expect("recover")
+}
+
+/// Slot `t`'s wire lines as `gen-arrivals` writes them (one per edge
+/// with traffic beyond what `acked` already holds), then its `slot_end`.
+fn slot_block(arrivals: &[Vec<u64>], t: usize, acked: &[u64]) -> Vec<u8> {
+    let mut block = String::new();
+    for (edge, row) in arrivals.iter().enumerate() {
+        if row[t] > acked[edge] {
+            block.push_str(&format!(
+                "{{\"edge\":{edge},\"count\":{}}}\n",
+                row[t] - acked[edge]
+            ));
+        }
+    }
+    block.push_str("{\"slot_end\":true}\n");
+    block.into_bytes()
+}
+
+/// Feeds each of `slots` to the loop as one block of wire bytes.
+fn feed(daemon: &mut SlotLoop<'_>, arrivals: &[Vec<u64>], slots: std::ops::Range<usize>) {
+    let none = vec![0; arrivals.len()];
+    for t in slots {
+        let halted = daemon
+            .ingest(&slot_block(arrivals, t, &none), 0)
+            .expect("ingest");
+        assert!(!halted);
+    }
+}
+
+/// The record and trace of a finished run.
+fn outcome(out: ServeOutcome) -> (RunRecord, String) {
+    let trace = out.telemetry.expect("telemetry on").to_jsonl_string();
+    (out.record, trace)
+}
+
+/// Uninterrupted reference run, straight through the session.
 fn reference(zoo: &ModelZoo, cfg: &SimConfig, arrivals: &[Vec<u64>]) -> (RunRecord, String) {
     let mut session = ServeSession::new(cfg.clone(), zoo, SEED, Combo::ours(), &serve_opts(1));
     for t in 0..cfg.horizon {
         session.push_slot(&slot_row(arrivals, t));
     }
-    let out = session.finish();
-    let trace = out.telemetry.expect("telemetry on").to_jsonl_string();
-    (out.record, trace)
+    outcome(session.finish())
 }
 
-/// Recovers from whatever the WAL directory holds (no checkpoint:
-/// replay starts at slot 0), feeds the rest of the arrival stream, and
+/// A daemon that logged every slot of the run into `dir/wal`.
+fn log_whole_run(zoo: &ModelZoo, cfg: &SimConfig, arrivals: &[Vec<u64>], dir: &Path) {
+    let mut head = daemon(zoo, cfg, daemon_opts(dir, false), 1);
+    feed(&mut head, arrivals, 0..cfg.horizon);
+}
+
+/// Recovers from whatever `dir` holds (checkpoint, WAL or both), has
+/// the upstream source re-send what the WAL never acknowledged, and
 /// returns the finished run.
 fn recover_and_finish(
     zoo: &ModelZoo,
     cfg: &SimConfig,
     arrivals: &[Vec<u64>],
-    dir: &std::path::Path,
+    dir: &Path,
     edge_threads: usize,
 ) -> (RunRecord, String) {
-    let (_wal, recovery) = Wal::open(dir, WalOptions::default()).expect("open WAL");
-    let tail = wal::replay(&recovery.records, cfg.num_edges, 0).expect("replay");
-    let mut session = ServeSession::new(
-        cfg.clone(),
-        zoo,
-        SEED,
-        Combo::ours(),
-        &serve_opts(edge_threads),
-    );
-    session.apply_wal_tail(&tail).expect("apply tail");
-    let cursor = session.next_slot();
-    // The open slot's recovered arrivals must be a sub-accumulation of
-    // the true row — re-delivering the full row closes the gap, exactly
-    // as the upstream arrival source re-sends what was never acked.
+    let mut daemon = daemon(zoo, cfg, daemon_opts(dir, true), edge_threads);
+    // The recovered cursor is the checkpoint's slot plus the closed
+    // slots of the WAL tail.
+    let start = Checkpoint::load(&dir.join("state.ckpt")).map_or(0, |c| c.arrivals.len());
+    let records = wal::read_records(&dir.join("wal")).expect("scan").records;
+    let tail = wal::replay(&records, cfg.num_edges, start as u64).expect("replay");
+    let cursor = daemon.session().next_slot();
+    assert_eq!(cursor, start + tail.closed.len());
     if cursor < cfg.horizon {
+        // The open slot's recovered arrivals must be a sub-accumulation
+        // of the true row; the source re-sends only the difference.
+        let acked = tail.open;
         let row = slot_row(arrivals, cursor);
-        for (e, &seen) in tail.open.iter().enumerate() {
+        for (e, &seen) in acked.iter().enumerate() {
             assert!(
                 seen <= row[e],
                 "recovered open-slot count {seen} exceeds the true row {} (edge {e})",
                 row[e]
             );
         }
+        daemon
+            .ingest(&slot_block(arrivals, cursor, &acked), 0)
+            .expect("ingest");
+        feed(&mut daemon, arrivals, cursor + 1..cfg.horizon);
     }
-    for t in cursor..cfg.horizon {
-        session.push_slot(&slot_row(arrivals, t));
-    }
-    let out = session.finish();
-    let trace = out.telemetry.expect("telemetry on").to_jsonl_string();
-    (out.record, trace)
+    outcome(daemon.finish().expect("finish"))
 }
 
 /// A full WAL replayed from slot 0 reconstructs the run byte-for-byte
-/// in both serve modes at 1 and 4 edge threads.
+/// at 1 and 4 edge threads.
 #[test]
 fn full_wal_replay_is_bit_identical() {
     let (zoo, cfg) = setup();
     let arrivals = raw_arrivals(&cfg, SEED);
     let dir = temp_dir("full");
-    let (mut wal, _) = Wal::open(&dir, WalOptions::default()).expect("open");
-    for record in daemon_records(&arrivals, cfg.horizon) {
-        wal.append(&record).expect("append");
-    }
-    drop(wal);
+    log_whole_run(&zoo, &cfg, &arrivals, &dir);
     let (ref_record, ref_trace) = reference(&zoo, &cfg, &arrivals);
     for edge_threads in [1usize, 4] {
         let (record, trace) = recover_and_finish(&zoo, &cfg, &arrivals, &dir, edge_threads);
@@ -163,17 +208,13 @@ fn full_wal_replay_is_bit_identical() {
 fn every_truncation_point_recovers_bit_identically() {
     let (zoo, cfg) = setup();
     let arrivals = raw_arrivals(&cfg, SEED);
-    let records = daemon_records(&arrivals, cfg.horizon);
 
-    // Byte image of the single segment the daemon would have written.
+    // Byte image of the single segment the daemon wrote.
     let src = temp_dir("cutsrc");
-    let (mut wal, _) = Wal::open(&src, WalOptions::default()).expect("open");
-    for record in &records {
-        wal.append(record).expect("append");
-    }
-    drop(wal);
+    log_whole_run(&zoo, &cfg, &arrivals, &src);
     let seg_name = "wal-00000001.log";
-    let full = std::fs::read(src.join(seg_name)).expect("read segment");
+    let full = std::fs::read(src.join("wal").join(seg_name)).expect("read segment");
+    let records = wal::read_records(&src.join("wal")).expect("scan").records;
     std::fs::remove_dir_all(&src).ok();
 
     // Cumulative frame-boundary offsets.
@@ -211,9 +252,10 @@ fn every_truncation_point_recovers_bit_identically() {
     let (ref_record, ref_trace) = reference(&zoo, &cfg, &arrivals);
     for &cut in &cuts {
         let dir = temp_dir("cut");
-        std::fs::write(dir.join(seg_name), &full[..cut]).expect("write cut");
+        std::fs::create_dir_all(dir.join("wal")).expect("wal dir");
+        std::fs::write(dir.join("wal").join(seg_name), &full[..cut]).expect("write cut");
         if cut > 0 && !boundaries.contains(&cut) {
-            let scan = wal::read_records(&dir).expect("scan");
+            let scan = wal::read_records(&dir.join("wal")).expect("scan");
             assert!(scan.torn.is_some(), "mid-frame cut at {cut} must be torn");
         }
         let (record, trace) = recover_and_finish(&zoo, &cfg, &arrivals, &dir, 1);
@@ -225,9 +267,8 @@ fn every_truncation_point_recovers_bit_identically() {
 
 /// Checkpoint + WAL tail: a crash after a durable checkpoint install
 /// (which garbage-collects the covered prefix) recovers from the
-/// checkpoint and the surviving tail alone — bit-identical in both
-/// serve modes at 1 and 4 resume edge threads, including when the tail
-/// ends mid-slot.
+/// checkpoint and the surviving tail alone — bit-identical at 1 and 4
+/// resume edge threads, including when the tail ends mid-slot.
 #[test]
 fn checkpoint_plus_wal_tail_resumes_bit_identically() {
     let (zoo, cfg) = setup();
@@ -239,76 +280,43 @@ fn checkpoint_plus_wal_tail_resumes_bit_identically() {
 
     let (ref_record, ref_trace) = reference(&zoo, &cfg, &arrivals);
 
-    // Head run with the daemon's write-ahead discipline, a durable
-    // checkpoint at slot k, then more logged slots and a torn
-    // mid-slot batch for slot m before the "crash".
-    let dir = temp_dir("ckpt");
-    let (mut wal, _) = Wal::open(&dir, WalOptions::default()).expect("open");
-    let mut head = ServeSession::new(cfg.clone(), &zoo, SEED, Combo::ours(), &serve_opts(1));
-    for record in daemon_records(&arrivals, k) {
-        wal.append(&record).expect("append");
-    }
-    for t in 0..k {
-        head.push_slot(&slot_row(&arrivals, t));
-    }
-    let text = head.checkpoint().expect("checkpoint").encode();
-    wal.install_checkpoint(k as u64).expect("install");
-    for record in daemon_records(&arrivals, m)
-        .into_iter()
-        .filter(|r| match r {
-            WalRecord::Arrivals { slot, .. }
-            | WalRecord::ArrivalSums { slot, .. }
-            | WalRecord::SlotClose { slot } => *slot >= k as u64,
-            WalRecord::CheckpointInstalled { .. } => true,
-        })
-    {
-        wal.append(&record).expect("append");
-    }
-    // A partial batch for the open slot m: the first edge with
-    // traffic and a zero-count line are group-committed before the
-    // crash.
-    let edge = (0..cfg.num_edges)
-        .find(|&e| arrivals[e][m] > 0)
-        .unwrap_or(0);
-    let mut partial = GroupCommit::new(cfg.num_edges);
-    partial.add(edge, arrivals[edge][m]);
-    partial.add(edge, 0);
-    wal.append(&partial.take(m as u64).expect("two lines"))
-        .expect("append");
-    drop(wal);
-
     for edge_threads in [1usize, 4] {
-        let ckpt = Checkpoint::parse(&text).expect("well-formed checkpoint");
-        let mut session = ServeSession::resume(
-            cfg.clone(),
-            &zoo,
-            Combo::ours(),
-            &ckpt,
-            &serve_opts(edge_threads),
-        )
-        .expect("resume");
-        let (_wal, recovery) = Wal::open(&dir, WalOptions::default()).expect("reopen");
-        let tail = wal::replay(&recovery.records, cfg.num_edges, k as u64).expect("replay");
+        // The daemon checkpoints at slot k, logs up to slot m, and takes
+        // a block holding only part of slot m — the first edge with
+        // traffic and a zero-count line — before the "crash".
+        let dir = temp_dir("ckpt");
+        let mut opts = daemon_opts(&dir, false);
+        opts.checkpoint = Some(dir.join("state.ckpt").to_string_lossy().into_owned());
+        opts.checkpoint_every = Some(k);
+        let mut head = daemon(&zoo, &cfg, opts, 1);
+        feed(&mut head, &arrivals, 0..m);
+        let edge = (0..cfg.num_edges)
+            .find(|&e| arrivals[e][m] > 0)
+            .unwrap_or(0);
+        let partial = format!(
+            "{{\"edge\":{edge},\"count\":{}}}\n{{\"edge\":{edge},\"count\":0}}\n",
+            arrivals[edge][m]
+        );
+        assert!(!head.ingest(partial.as_bytes(), 0).expect("ingest"));
+        drop(head);
+
+        let records = wal::read_records(&dir.join("wal")).expect("scan").records;
+        let tail = wal::replay(&records, cfg.num_edges, k as u64).expect("replay");
         assert_eq!(tail.start_slot as usize, k);
         assert_eq!(tail.closed.len(), m - k);
         assert_eq!(tail.open_lines, 2, "both logged lines of slot {m}");
-        session.apply_wal_tail(&tail).expect("apply tail");
-        assert_eq!(session.next_slot(), m);
-        for t in m..horizon {
-            session.push_slot(&slot_row(&arrivals, t));
-        }
-        let out = session.finish();
+
+        let (record, trace) = recover_and_finish(&zoo, &cfg, &arrivals, &dir, edge_threads);
         assert_eq!(
-            out.record, ref_record,
+            record, ref_record,
             "record diverged ({edge_threads} edge threads)"
         );
         assert_eq!(
-            out.telemetry.expect("telemetry on").to_jsonl_string(),
-            ref_trace,
+            trace, ref_trace,
             "trace diverged ({edge_threads} edge threads)"
         );
+        std::fs::remove_dir_all(&dir).ok();
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A tail that does not continue the checkpoint is refused — wrong

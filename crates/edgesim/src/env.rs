@@ -402,12 +402,6 @@ impl<'a> Environment<'a> {
         self.ingested += 1;
     }
 
-    /// The realized fault schedule, when [`SimConfig::faults`] is set.
-    #[must_use]
-    pub fn fault_schedule(&self) -> Option<&FaultSchedule> {
-        self.faults.as_ref()
-    }
-
     /// The eval-table index model `n` maps to at slot `t` (identity
     /// unless the drift experiment is active and past its onset).
     #[must_use]
@@ -485,19 +479,6 @@ impl<'a> Environment<'a> {
     #[must_use]
     pub fn horizon(&self) -> usize {
         self.config.horizon
-    }
-
-    /// Expected total emissions (allowances) if every edge hosted the
-    /// given model all run — a scale hint for trading policies.
-    #[must_use]
-    pub fn expected_emissions_for_model(&self, n: usize) -> f64 {
-        let phi = self.zoo.model(n).profile.energy_per_sample;
-        let total_arrivals: u64 = self.workloads.iter().map(WorkloadTrace::total).sum();
-        self.config
-            .emission
-            .emissions(self.config.emission.inference_energy(phi, total_arrivals))
-            .to_allowances()
-            .get()
     }
 
     /// Runs a policy through the whole horizon.

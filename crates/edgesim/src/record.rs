@@ -139,12 +139,6 @@ impl RunRecord {
         self.slots.iter().map(|s| s.utilization).collect()
     }
 
-    /// Peak mean-utilization over the run (capacity-planning headline).
-    #[must_use]
-    pub fn peak_utilization(&self) -> f64 {
-        self.slots.iter().map(|s| s.utilization).fold(0.0, f64::max)
-    }
-
     /// Highest single-edge, single-slot utilization of the run — the
     /// number provisioning must cover.
     #[must_use]

@@ -114,15 +114,6 @@ impl EvalTable {
         self.losses[idx]
     }
 
-    /// Whether pool sample `idx` is classified correctly.
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of range.
-    #[must_use]
-    pub fn is_correct(&self, idx: usize) -> bool {
-        self.correct[idx]
-    }
-
     /// Mean loss over the whole pool — the model's (empirical)
     /// `E[l_n]`, which "Offline" uses as its oracle (paper §V-A).
     #[must_use]

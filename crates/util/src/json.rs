@@ -197,7 +197,7 @@ impl fmt::Display for Json {
 }
 
 /// Writes `s` as a JSON string literal (RFC 8259 escaping).
-fn encode_string(s: &str, out: &mut String) {
+pub(crate) fn encode_string(s: &str, out: &mut String) {
     use std::fmt::Write as _;
     out.push('"');
     for c in s.chars() {

@@ -37,6 +37,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use crate::json::encode_string;
 use crate::telemetry::{Histogram, DEFAULT_BUCKETS};
 
 /// One aggregated node in the span tree.
@@ -412,9 +413,9 @@ impl Profiler {
         line.push_str("{\"type\":\"profile\"");
         for (k, v) in &self.labels {
             line.push(',');
-            push_json_string(&mut line, k);
+            encode_string(k, &mut line);
             line.push(':');
-            push_json_string(&mut line, v);
+            encode_string(v, &mut line);
         }
         line.push('}');
         writeln!(w, "{line}")?;
@@ -422,7 +423,7 @@ impl Profiler {
             let n = &self.nodes[i];
             line.clear();
             line.push_str("{\"type\":\"span\",\"path\":");
-            push_json_string(&mut line, &path);
+            encode_string(&path, &mut line);
             let _ = write!(
                 line,
                 ",\"count\":{},\"total_us\":{},\"self_us\":{}}}",
@@ -443,24 +444,6 @@ impl Profiler {
             .expect("writing to a Vec cannot fail");
         String::from_utf8(buf).expect("encoder emits UTF-8")
     }
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parses a profile stream back into per-run span statistics — the

@@ -36,7 +36,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::io::{self, Write};
 
-use crate::json::{self, Json};
+use crate::json::{self, encode_string, Json};
 
 /// Default histogram bucket upper bounds, in the unit of the observed
 /// quantity. Chosen to cover both per-stage timings in microseconds
@@ -441,13 +441,13 @@ impl Recorder {
         for ev in &self.events {
             line.clear();
             line.push_str("{\"type\":\"event\",\"kind\":");
-            push_json_string(&mut line, &ev.kind);
+            encode_string(&ev.kind, &mut line);
             if let Some(slot) = ev.slot {
                 let _ = write!(line, ",\"slot\":{slot}");
             }
             for (k, v) in &ev.fields {
                 line.push(',');
-                push_json_string(&mut line, k);
+                encode_string(k, &mut line);
                 line.push(':');
                 push_value(&mut line, v);
             }
@@ -460,7 +460,7 @@ impl Recorder {
             line.push_str("{\"type\":\"counters\"");
             for (k, v) in &self.counters {
                 line.push(',');
-                push_json_string(&mut line, k);
+                encode_string(k, &mut line);
                 let _ = write!(line, ":{v}");
             }
             line.push('}');
@@ -472,7 +472,7 @@ impl Recorder {
             line.push_str("{\"type\":\"gauges\"");
             for (k, v) in &self.gauges {
                 line.push(',');
-                push_json_string(&mut line, k);
+                encode_string(k, &mut line);
                 line.push(':');
                 push_f64(&mut line, *v);
             }
@@ -483,7 +483,7 @@ impl Recorder {
         for (name, hist) in &self.histograms {
             line.clear();
             line.push_str("{\"type\":\"histogram\",\"name\":");
-            push_json_string(&mut line, name);
+            encode_string(name, &mut line);
             line.push_str(",\"bounds\":[");
             for (i, b) in hist.bounds().iter().enumerate() {
                 if i > 0 {
@@ -714,9 +714,9 @@ fn json_to_f64(v: &Json) -> Option<f64> {
 
 fn push_kv_str(out: &mut String, key: &str, value: &str) {
     out.push(',');
-    push_json_string(out, key);
+    encode_string(key, out);
     out.push(':');
-    push_json_string(out, value);
+    encode_string(value, out);
 }
 
 fn push_value(out: &mut String, v: &Value) {
@@ -729,7 +729,7 @@ fn push_value(out: &mut String, v: &Value) {
             let _ = write!(out, "{u}");
         }
         Value::Float(f) => push_f64(out, *f),
-        Value::Str(s) => push_json_string(out, s),
+        Value::Str(s) => encode_string(s, out),
     }
 }
 
@@ -740,24 +740,6 @@ fn push_f64(out: &mut String, x: f64) {
     } else {
         out.push_str("null");
     }
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
