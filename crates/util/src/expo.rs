@@ -818,6 +818,63 @@ mod tests {
         assert_eq!(sanitize_name("ok_name:x9"), "ok_name:x9");
     }
 
+    /// The serve daemon's page pinned byte for byte: a run trace, the
+    /// ops recorder with its seven latency histograms on the daemon's
+    /// bounds (one holding a NaN), and an unlabeled recorder.
+    #[test]
+    fn daemon_page_bytes_are_pinned() {
+        const BOUNDS_US: [f64; 14] = [
+            50.0, 100.0, 250.0, 500.0, 1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6,
+        ];
+        let mut trace = Recorder::new();
+        trace.set_label("policy", "Ours");
+        trace.set_label("seed", "7");
+        trace.incr("slots", 160);
+        trace.incr("switches", 23);
+        trace.incr("trade.buys", 41);
+        trace.gauge("lambda", 0.031_25);
+        trace.gauge("violation", -0.0);
+        trace.observe("slot_loss", 0.25);
+        trace.observe("slot_loss", 1.5e-3);
+
+        let mut ops = Recorder::new();
+        ops.set_label("policy", "Ours");
+        ops.set_label("seed", "7");
+        ops.set_label("stream", "ops");
+        ops.incr("serve.slots", 160);
+        ops.incr("serve.requests", 2_000_123);
+        ops.gauge("serve.next_slot", 160.0);
+        ops.gauge("carbon.emitted", 1_234.567_890_123);
+        ops.gauge("dual.lambda", f64::INFINITY);
+        for (k, name) in [
+            "serve.latency.select_us",
+            "serve.latency.trade_us",
+            "serve.latency.serve_us",
+            "serve.latency.feedback_us",
+            "serve.latency.ingest_us",
+            "serve.latency.slot_us",
+            "serve.latency.checkpoint_us",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let h = ops.histogram_with_bounds(name, &BOUNDS_US);
+            for j in 0..40 {
+                h.record(12.5 * (k as f64 + 1.0) * f64::from(j * j + 1));
+            }
+            if k == 5 {
+                h.record(f64::NAN);
+            }
+        }
+
+        let mut bare = Recorder::new();
+        bare.incr("build_info", 1);
+        bare.gauge("up", 1.0);
+
+        let page = render(&[&trace, &ops, &bare]).unwrap();
+        assert_eq!(page, include_str!("../tests/data/daemon_page.prom"));
+    }
+
     #[test]
     fn ops_sidecar_path_appends_suffix() {
         assert_eq!(ops_sidecar_path("trace.jsonl"), "trace.jsonl.ops.jsonl");
