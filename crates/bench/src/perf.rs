@@ -43,6 +43,7 @@ use std::hint::black_box;
 
 use cne_bandit::omd::tsallis_weights_into;
 use cne_core::combos::Combo;
+use cne_core::daemon::{LATENCY_BOUNDS_US, LATENCY_HISTOGRAMS};
 use cne_core::{Checkpoint, ServeOptions, ServeSession};
 use cne_edgesim::policy::{Policy, SlotFeedback};
 use cne_edgesim::Environment;
@@ -587,21 +588,33 @@ fn bench_serve_loop(scale: &Scale, zoo: &ModelZoo, reps: usize, entries: &mut Ve
 
     // The admin endpoint re-renders the full Prometheus exposition
     // page after every slot, so its cost rides the serve hot loop:
-    // time one render of a completed traced run's recorder.
+    // time one render of the page a traced daemon publishes at the
+    // end of a run, its trace plus an ops recorder holding the
+    // daemon's latency histograms (here fed each slot's wall time).
     let opts = ServeOptions {
         telemetry: true,
         ..ServeOptions::default()
     };
     let mut session = ServeSession::new(config.clone(), zoo, SEED, Combo::ours(), &opts);
+    let mut ops = Recorder::new();
+    ops.set_label("policy", session.policy_name());
+    ops.set_label("seed", SEED.to_string());
+    ops.set_label("stream", "ops");
     for row in &arrivals {
+        let start = std::time::Instant::now();
         session.push_slot(row);
+        let slot_us = start.elapsed().as_secs_f64() * 1e6;
+        for name in LATENCY_HISTOGRAMS {
+            ops.histogram_with_bounds(name, &LATENCY_BOUNDS_US)
+                .record(slot_us);
+        }
     }
     let trace = session.telemetry().expect("telemetry is on");
     let mut render_us = Vec::with_capacity(reps);
     for _ in 0..reps {
         let mut stopwatch = Profiler::new();
         stopwatch.enter("render");
-        let page = cne_util::expo::render(&[trace]).expect("a run trace renders");
+        let page = cne_util::expo::render(&[trace, &ops]).expect("the daemon's page renders");
         stopwatch.exit();
         assert!(!page.is_empty());
         render_us.push(stopwatch.total_us("render"));

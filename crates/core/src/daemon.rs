@@ -54,18 +54,26 @@ const SNIPPET_MAX: usize = 64;
 
 /// Bucket upper bounds for the ops latency histograms, microseconds
 /// (50µs … 1s; slower observations land in the overflow bucket).
-const LATENCY_BOUNDS_US: [f64; 14] = [
+pub const LATENCY_BOUNDS_US: [f64; 14] = [
     50.0, 100.0, 250.0, 500.0, 1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6,
 ];
 
-/// Ops latency-histogram name → profiler span path, for the stages the
-/// stepper times itself.
-const STAGE_LATENCIES: [(&str, &str); 4] = [
-    ("serve.latency.select_us", "slot/select"),
-    ("serve.latency.trade_us", "slot/trade"),
-    ("serve.latency.serve_us", "slot/serve"),
-    ("serve.latency.feedback_us", "slot/feedback"),
+/// Every ops latency histogram the daemon publishes, each on
+/// [`LATENCY_BOUNDS_US`]: the four stages the stepper times itself
+/// (the spans in `STAGE_SPANS`), the daemon's time outside the
+/// stepper, the whole slot, and one checkpoint write.
+pub const LATENCY_HISTOGRAMS: [&str; 7] = [
+    "serve.latency.select_us",
+    "serve.latency.trade_us",
+    "serve.latency.serve_us",
+    "serve.latency.feedback_us",
+    "serve.latency.ingest_us",
+    "serve.latency.slot_us",
+    "serve.latency.checkpoint_us",
 ];
+
+/// The profiler span path behind each stage histogram, in order.
+const STAGE_SPANS: [&str; 4] = ["slot/select", "slot/trade", "slot/serve", "slot/feedback"];
 
 /// What the daemon loop takes from its invocation: the `carbon-edge
 /// serve` flag named beside each field (see `SERVING.md`).
@@ -565,7 +573,7 @@ struct DaemonOps {
     rec: Recorder,
     admin: Option<Arc<AdminState>>,
     /// The profiler's cumulative per-stage totals after the previous
-    /// slot (µs): `STAGE_LATENCIES` order, then the `slot` root.
+    /// slot (µs): `STAGE_SPANS` order, then the `slot` root.
     prev_us: [f64; 5],
 }
 
@@ -644,8 +652,9 @@ impl DaemonOps {
             eprintln!("{}", Json::Obj(line).encode());
         }
 
+        let [.., ingest_us, slot_us, _] = LATENCY_HISTOGRAMS;
         if let Some(profiler) = session.profiler() {
-            for (i, (metric, path)) in STAGE_LATENCIES.iter().enumerate() {
+            for (i, (metric, path)) in LATENCY_HISTOGRAMS.iter().zip(STAGE_SPANS).enumerate() {
                 let total = profiler.total_us(path);
                 let delta = (total - self.prev_us[i]).max(0.0);
                 self.prev_us[i] = total;
@@ -660,20 +669,21 @@ impl DaemonOps {
             // slot's arrivals, live monitoring, bookkeeping. (Each
             // edge's sample draw is inside the `serve` stage.)
             self.rec
-                .histogram_with_bounds("serve.latency.ingest_us", &LATENCY_BOUNDS_US)
+                .histogram_with_bounds(ingest_us, &LATENCY_BOUNDS_US)
                 .record((slot_wall_us - step).max(0.0));
         }
         self.rec
-            .histogram_with_bounds("serve.latency.slot_us", &LATENCY_BOUNDS_US)
+            .histogram_with_bounds(slot_us, &LATENCY_BOUNDS_US)
             .record(slot_wall_us);
         self.publish(session);
     }
 
     /// Tallies one checkpoint write into the ops recorder.
     fn record_checkpoint(&mut self, wall_us: f64) {
+        let [.., checkpoint_us] = LATENCY_HISTOGRAMS;
         self.rec.incr("serve.checkpoints", 1);
         self.rec
-            .histogram_with_bounds("serve.latency.checkpoint_us", &LATENCY_BOUNDS_US)
+            .histogram_with_bounds(checkpoint_us, &LATENCY_BOUNDS_US)
             .record(wall_us);
     }
 

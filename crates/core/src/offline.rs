@@ -42,8 +42,7 @@ impl OfflinePolicy {
                 let mut best = 0usize;
                 let mut best_cost = f64::INFINITY;
                 for n in 0..zoo.len() {
-                    let cost = zoo.model(n).eval.expected_loss() * cfg.weights.loss
-                        + env.latency_ms(i, n) * cfg.weights.latency_per_ms;
+                    let cost = env.inference_cost(i, n);
                     if cost < best_cost {
                         best_cost = cost;
                         best = n;
@@ -158,14 +157,10 @@ mod tests {
     #[test]
     fn offline_placement_minimizes_expected_cost() {
         let (zoo, cfg) = setup();
-        let weights = cfg.weights;
         let env = Environment::new(cfg, &zoo, &SeedSequence::new(7));
         let offline = OfflinePolicy::plan(&env);
         for (i, &chosen) in offline.placements().iter().enumerate() {
-            let cost = |n: usize| {
-                zoo.model(n).eval.expected_loss() * weights.loss
-                    + env.latency_ms(i, n) * weights.latency_per_ms
-            };
+            let cost = |n: usize| env.inference_cost(i, n);
             for n in 0..zoo.len() {
                 assert!(
                     cost(chosen) <= cost(n) + 1e-12,

@@ -17,18 +17,13 @@ use cne_edgesim::{Environment, RunRecord};
 /// where `κ_{i,n} = E[l_n] w_loss + v_{i,n} w_latency`.
 #[must_use]
 pub fn p1_regret_per_edge(env: &Environment<'_>, record: &RunRecord) -> Vec<f64> {
-    let cfg = env.config();
-    let zoo = env.zoo();
     record
         .edges
         .iter()
         .enumerate()
         .map(|(i, edge)| {
-            let costs: Vec<f64> = (0..zoo.len())
-                .map(|n| {
-                    zoo.model(n).eval.expected_loss() * cfg.weights.loss
-                        + env.latency_ms(i, n) * cfg.weights.latency_per_ms
-                })
+            let costs: Vec<f64> = (0..env.num_models())
+                .map(|n| env.inference_cost(i, n))
                 .collect();
             let best = costs.iter().copied().fold(f64::INFINITY, f64::min);
             let incurred: f64 = edge

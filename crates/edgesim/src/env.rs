@@ -44,10 +44,6 @@ pub struct Environment<'a> {
     /// Root of the per-edge sample streams: edge `i` draws from
     /// `stream_seed.derive_index(i)` in every stepper.
     stream_seed: SeedSequence,
-    /// `expected_loss()` per eval table, cached at construction — the
-    /// run loop charges it once per edge-slot, and recomputing the
-    /// pool mean there would dominate serving.
-    expected_losses: Vec<f64>,
     market: CarbonMarket,
     /// Model-quality permutation applied from `quality_drift_at`
     /// onward (rank reversal by expected loss), when configured.
@@ -327,11 +323,6 @@ impl<'a> Environment<'a> {
                     .collect()
             })
             .collect();
-        let expected_losses: Vec<f64> = zoo
-            .models()
-            .iter()
-            .map(|m| m.eval.expected_loss())
-            .collect();
         let market = CarbonMarket::new(config.bounds);
         // Rank-reversal permutation for the drift extension: the model
         // with the k-th lowest expected loss inherits the table of the
@@ -360,7 +351,6 @@ impl<'a> Environment<'a> {
             prices,
             latencies,
             stream_seed: seed.derive("stream"),
-            expected_losses,
             market,
             drift_perm,
             faults,
@@ -445,13 +435,16 @@ impl<'a> Environment<'a> {
         &self.workloads[i]
     }
 
-    /// Computation cost `v_{i,n}` in milliseconds.
+    /// Expected inference cost `κ_{i,n} = E[l_n] · w_loss + v_{i,n} ·
+    /// w_latency` of model `n` on edge `i`: what P1 regret charges and
+    /// Offline's placement minimizes.
     ///
     /// # Panics
     /// Panics if an index is out of range.
     #[must_use]
-    pub fn latency_ms(&self, i: usize, n: usize) -> f64 {
-        self.latencies[i][n]
+    pub fn inference_cost(&self, i: usize, n: usize) -> f64 {
+        self.zoo.model(n).eval.expected_loss() * self.config.weights.loss
+            + self.latencies[i][n] * self.config.weights.latency_per_ms
     }
 
     /// Download delay `u_i` in milliseconds.
@@ -889,7 +882,7 @@ impl<'a> Environment<'a> {
         );
 
         let partial = EdgePartial {
-            loss_cost: self.expected_losses[effective] * cfg.weights.loss,
+            loss_cost: table.expected_loss() * cfg.weights.loss,
             latency_cost: self.latencies[i][n] * cfg.weights.latency_per_ms,
             switch_cost,
         };
@@ -1611,7 +1604,7 @@ mod tests {
         let env = test_env(&zoo);
         for i in 0..env.num_edges() {
             for n in 0..env.num_models() {
-                let v = env.latency_ms(i, n);
+                let v = env.latencies[i][n];
                 assert!((25.0..=150.0).contains(&v), "v out of band: {v}");
             }
         }

@@ -567,6 +567,31 @@ mod tests {
         }
     }
 
+    /// `expected_loss` is summed once, at construction, in the order a
+    /// fresh sum over the table takes: the same bits for every model of
+    /// the `--quick` zoo, trained and decoded from a snapshot.
+    #[test]
+    fn expected_loss_is_the_pool_mean_to_the_bit() {
+        let key = ZooKey {
+            task: TaskKind::MnistLike,
+            config: ZooConfig::fast(),
+            seed: SeedSequence::new(2025),
+            quantized_bits: None,
+        };
+        let zoo = key.train();
+        let loaded = ModelZoo::read_snapshot(&key, &encode(&zoo, &key)[..]).expect("decode");
+        for m in zoo.models().iter().chain(loaded.models()) {
+            let losses = m.eval.losses();
+            let mean = losses.iter().sum::<f64>() / losses.len() as f64;
+            assert_eq!(
+                m.eval.expected_loss().to_bits(),
+                mean.to_bits(),
+                "{}",
+                m.profile.name
+            );
+        }
+    }
+
     #[test]
     fn a_quick_snapshot_does_not_load_at_full_scale() {
         let quick = tiny_key(TaskKind::MnistLike, None);

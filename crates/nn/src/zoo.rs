@@ -79,6 +79,8 @@ pub struct ModelProfile {
 pub struct EvalTable {
     losses: Vec<f64>,
     correct: Vec<bool>,
+    /// The pool mean of `losses`, summed once at construction.
+    expected_loss: f64,
 }
 
 impl EvalTable {
@@ -90,7 +92,12 @@ impl EvalTable {
     pub fn new(losses: Vec<f64>, correct: Vec<bool>) -> Self {
         assert_eq!(losses.len(), correct.len(), "table length mismatch");
         assert!(!losses.is_empty(), "empty evaluation table");
-        Self { losses, correct }
+        let expected_loss = losses.iter().sum::<f64>() / losses.len() as f64;
+        Self {
+            losses,
+            correct,
+            expected_loss,
+        }
     }
 
     /// Number of pool samples.
@@ -116,9 +123,10 @@ impl EvalTable {
 
     /// Mean loss over the whole pool — the model's (empirical)
     /// `E[l_n]`, which "Offline" uses as its oracle (paper §V-A).
+    /// Computed once, at construction, so every read is O(1).
     #[must_use]
     pub fn expected_loss(&self) -> f64 {
-        self.losses.iter().sum::<f64>() / self.losses.len() as f64
+        self.expected_loss
     }
 
     /// Every pool sample's loss.

@@ -98,32 +98,26 @@ pub fn sanitize_name(raw: &str) -> String {
     out
 }
 
-/// Canonical sample-value formatting: shortest-roundtrip floats plus
-/// the `NaN`/`+Inf`/`-Inf` tokens.
-#[must_use]
-pub fn format_value(x: f64) -> String {
+/// Writes a sample value: shortest-roundtrip floats plus the
+/// `NaN`/`+Inf`/`-Inf` tokens.
+fn push_value(out: &mut String, x: f64) {
     if x.is_nan() {
-        "NaN".to_owned()
+        out.push_str("NaN");
     } else if x == f64::INFINITY {
-        "+Inf".to_owned()
+        out.push_str("+Inf");
     } else if x == f64::NEG_INFINITY {
-        "-Inf".to_owned()
+        out.push_str("-Inf");
     } else {
-        format!("{x}")
+        let _ = write!(out, "{x}");
     }
-}
-
-/// One series (label set) inside a family: the pre-rendered lines.
-struct SeriesBlock {
-    lines: Vec<String>,
 }
 
 /// A family being accumulated during rendering.
 struct FamilyAcc {
     kind: FamilyKind,
-    /// Blocks keyed by the rendered base-label set (deterministic
-    /// series order; duplicate keys are an error).
-    blocks: BTreeMap<String, SeriesBlock>,
+    /// Each series' rendered lines, keyed by its rendered label set
+    /// (deterministic series order; duplicate keys are an error).
+    series: BTreeMap<String, String>,
 }
 
 /// Renders recorders as deterministic Prometheus text exposition.
@@ -140,29 +134,24 @@ pub fn render(recorders: &[&Recorder]) -> Result<String, String> {
     let mut families: BTreeMap<String, FamilyAcc> = BTreeMap::new();
 
     for rec in recorders {
-        let base: Vec<(String, String)> = rec
+        // Sanitized keys, sorted; the first value wins a key collision.
+        let mut base: Vec<(String, &str)> = rec
             .labels()
             .iter()
-            .map(|(k, v)| (sanitize_name(k), v.clone()))
+            .map(|(k, v)| (sanitize_name(k), v.as_str()))
             .collect();
+        base.sort_by(|a, b| a.0.cmp(&b.0));
+        base.dedup_by(|a, b| a.0 == b.0);
 
         for (name, value) in rec.counters() {
-            add_scalar(
-                &mut families,
-                name,
-                FamilyKind::Counter,
-                &base,
-                format!("{value}"),
-            )?;
+            add_scalar(&mut families, name, FamilyKind::Counter, &base, |out| {
+                let _ = write!(out, "{value}");
+            })?;
         }
         for (name, value) in rec.gauges() {
-            add_scalar(
-                &mut families,
-                name,
-                FamilyKind::Gauge,
-                &base,
-                format_value(value),
-            )?;
+            add_scalar(&mut families, name, FamilyKind::Gauge, &base, |out| {
+                push_value(out, value);
+            })?;
         }
         for (name, hist) in rec.histograms() {
             add_histogram(&mut families, name, hist, &base)?;
@@ -190,47 +179,58 @@ pub fn render(recorders: &[&Recorder]) -> Result<String, String> {
     let mut out = String::new();
     for (name, fam) in &families {
         let _ = writeln!(out, "# TYPE {name} {}", fam.kind.as_str());
-        for block in fam.blocks.values() {
-            for line in &block.lines {
-                out.push_str(line);
-                out.push('\n');
-            }
+        for lines in fam.series.values() {
+            out.push_str(lines);
         }
     }
     Ok(out)
 }
 
-/// The sorted, deduplicated series labels for a metric: the
-/// recorder's base labels plus `raw_name` when sanitization changed
-/// the name.
-fn series_labels(
-    sanitized: &str,
-    raw_name: &str,
-    base: &[(String, String)],
-) -> Vec<(String, String)> {
-    let mut labels: Vec<(String, String)> = base.to_vec();
-    if sanitized != raw_name {
-        labels.push(("raw_name".to_owned(), raw_name.to_owned()));
+/// The rendered label set `{k="v",…}` (empty when there are none) of a
+/// metric exposed as `name`: the sorted run labels `base`, plus
+/// `raw_name` in its sorted place when sanitization changed the name
+/// and no run label already has that key.
+fn label_text(base: &[(String, &str)], name: &str, raw_name: &str) -> String {
+    let mut raw =
+        Some(raw_name).filter(|_| name != raw_name && base.iter().all(|(k, _)| k != "raw_name"));
+    let mut out = String::new();
+    let mut push = |key: &str, value: &str| {
+        out.push(if out.is_empty() { '{' } else { ',' });
+        let _ = write!(out, "{key}=\"");
+        push_escaped(&mut out, value);
+        out.push('"');
+    };
+    for (key, value) in base {
+        if key.as_str() > "raw_name" {
+            if let Some(raw) = raw.take() {
+                push("raw_name", raw);
+            }
+        }
+        push(key, value);
     }
-    labels.sort_by(|a, b| a.0.cmp(&b.0));
-    labels.dedup_by(|a, b| a.0 == b.0);
-    labels
+    if let Some(raw) = raw {
+        push("raw_name", raw);
+    }
+    if !out.is_empty() {
+        out.push('}');
+    }
+    out
 }
 
-/// Inserts one series' fully rendered lines into its family.
+/// Inserts one series' rendered lines into its family.
 fn add_series(
     families: &mut BTreeMap<String, FamilyAcc>,
     name: &str,
     raw_name: &str,
     kind: FamilyKind,
-    sort_key: String,
-    lines: Vec<String>,
+    label_text: String,
+    lines: String,
 ) -> Result<(), String> {
     let fam = families
         .entry(name.to_owned())
         .or_insert_with(|| FamilyAcc {
             kind,
-            blocks: BTreeMap::new(),
+            series: BTreeMap::new(),
         });
     if fam.kind != kind {
         return Err(format!(
@@ -239,15 +239,12 @@ fn add_series(
             fam.kind.as_str()
         ));
     }
-    if fam
-        .blocks
-        .insert(sort_key.clone(), SeriesBlock { lines })
-        .is_some()
-    {
+    if fam.series.contains_key(&label_text) {
         return Err(format!(
-            "duplicate series: family {name:?} with labels {sort_key:?}"
+            "duplicate series: family {name:?} with labels {label_text:?}"
         ));
     }
+    fam.series.insert(label_text, lines);
     Ok(())
 }
 
@@ -256,14 +253,15 @@ fn add_scalar(
     families: &mut BTreeMap<String, FamilyAcc>,
     raw_name: &str,
     kind: FamilyKind,
-    base: &[(String, String)],
-    value: String,
+    base: &[(String, &str)],
+    value: impl FnOnce(&mut String),
 ) -> Result<(), String> {
     let name = sanitize_name(raw_name);
-    let labels = series_labels(&name, raw_name, base);
-    let label_text = render_labels(&labels);
-    let line = format!("{name}{label_text} {value}");
-    add_series(families, &name, raw_name, kind, label_text, vec![line])
+    let labels = label_text(base, &name, raw_name);
+    let mut line = format!("{name}{labels} ");
+    value(&mut line);
+    line.push('\n');
+    add_series(families, &name, raw_name, kind, labels, line)
 }
 
 /// Expands a histogram into its `_bucket`/`_sum`/`_count` lines plus
@@ -272,37 +270,36 @@ fn add_histogram(
     families: &mut BTreeMap<String, FamilyAcc>,
     raw_name: &str,
     hist: &Histogram,
-    base: &[(String, String)],
+    base: &[(String, &str)],
 ) -> Result<(), String> {
     let name = sanitize_name(raw_name);
-    let labels = series_labels(&name, raw_name, base);
-    let label_text = render_labels(&labels);
-
-    let bucket_line = |le: &str, value: String| {
-        let mut with_le = labels.clone();
-        with_le.push(("le".to_owned(), le.to_owned()));
-        format!("{name}_bucket{} {value}", render_labels(&with_le))
+    let labels = label_text(base, &name, raw_name);
+    // Every bucket line is `<name>_bucket{<labels>,le="<bound>"} <cum>`.
+    let le_at = match labels.strip_suffix('}') {
+        Some(open) => format!("{name}_bucket{open},le=\""),
+        None => format!("{name}_bucket{{le=\""),
     };
-    let mut lines = Vec::with_capacity(hist.bounds().len() + 3);
+    let mut lines = String::with_capacity((hist.bounds().len() + 3) * (le_at.len() + 24));
     let mut cum = 0u64;
-    for (bound, count) in hist.bounds().iter().zip(hist.bucket_counts()) {
+    for (&bound, count) in hist.bounds().iter().zip(hist.bucket_counts()) {
         cum += count;
-        lines.push(bucket_line(&format_value(*bound), format!("{cum}")));
+        lines.push_str(&le_at);
+        push_value(&mut lines, bound);
+        let _ = writeln!(lines, "\"}} {cum}");
     }
     // `le="+Inf"` equals `_count`: every observation, including the
     // NaN/±∞ tally kept out of the numeric buckets.
-    lines.push(bucket_line("+Inf", format!("{}", hist.count())));
-    lines.push(format!(
-        "{name}_sum{label_text} {}",
-        format_value(hist.sum())
-    ));
-    lines.push(format!("{name}_count{label_text} {}", hist.count()));
+    let _ = writeln!(lines, "{le_at}+Inf\"}} {}", hist.count());
+    let _ = write!(lines, "{name}_sum{labels} ");
+    push_value(&mut lines, hist.sum());
+    lines.push('\n');
+    let _ = writeln!(lines, "{name}_count{labels} {}", hist.count());
     add_series(
         families,
         &name,
         raw_name,
         FamilyKind::Histogram,
-        label_text,
+        labels,
         lines,
     )?;
     add_scalar(
@@ -310,30 +307,15 @@ fn add_histogram(
         &format!("{raw_name}_nonfinite"),
         FamilyKind::Counter,
         base,
-        format!("{}", hist.nonfinite()),
+        |out| {
+            let _ = write!(out, "{}", hist.nonfinite());
+        },
     )
 }
 
-/// Renders a sorted label set as `{k="v",…}`, or `""` when empty.
-fn render_labels(labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let mut out = String::from("{");
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{k}=\"{}\"", escape_label_value(v));
-    }
-    out.push('}');
-    out
-}
-
-/// Escapes a label value per the exposition format: `\\`, `\"`, `\n`.
-#[must_use]
-pub fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
+/// Writes a label value escaped per the exposition format: `\\`,
+/// `\"`, `\n`.
+fn push_escaped(out: &mut String, v: &str) {
     for c in v.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -342,7 +324,6 @@ pub fn escape_label_value(v: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// `(key, value)` label pairs, in exposition order.
